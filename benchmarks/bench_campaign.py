@@ -1,4 +1,4 @@
-"""Campaign bench: process-pool vs fleet-batched execution.
+"""Campaign bench: process-pool vs fleet execution.
 
 Two comparisons, both emitting machine-readable results to
 ``BENCH_campaign.json`` so the perf trajectory is tracked across PRs:
@@ -6,21 +6,20 @@ Two comparisons, both emitting machine-readable results to
 * **default** -- the PR-1 comparison: the same heuristic-model grid
   executed serially and across a process pool (bit-identity asserted;
   on a single-core runner the speedup hovers around 1x).
-* **--fleet** -- the head-to-head for the fleet scoring service: a
-  CAROL campaign (offline GON training + surrogate-driven repair)
-  executed three ways --
+* **--fleet** -- the head-to-head for fleet mode: a CAROL campaign
+  (offline GON training + surrogate-driven repair) executed three
+  ways --
 
   1. the PR-1 process-pool path: every run trains its own GON and
      scores in-process (the baseline the speedup is measured against);
   2. fleet mode: assets trained once, published via shared memory,
-     all runs feeding one batched scoring service (exact policy;
-     records bit-identical to serial/process at equal shared assets);
+     workers leasing cells from one service and scoring in-process
+     (records bit-identical to serial/process at equal shared assets);
   3. the process pool with the same shared assets -- isolates the
-     scoring-consolidation share of the win and anchors the
-     bit-identity check against fleet records.
+     executor's share of the difference and anchors the bit-identity
+     check against fleet records.
 
-  A merged-bucket fleet variant (``fleet_merge``) is timed as well,
-  and the persistent surrogate-cache hit rates are reported for both
+  The persistent surrogate-cache hit rates are reported for both
   cache scopes on paper-default plus the fault-free control.
 * **--telemetry** -- the instrumentation-cost measurement: the same
   serial grid executed with the :mod:`repro.telemetry` registry
@@ -119,14 +118,12 @@ def run_legacy(args: argparse.Namespace) -> dict:
 
 
 # ----------------------------------------------------------------------
-# --fleet: process-pool vs fleet-batched CAROL campaigns
+# --fleet: process-pool vs fleet CAROL campaigns
 # ----------------------------------------------------------------------
 def fleet_grid(args: argparse.Namespace) -> CampaignConfig:
-    # --proactive sweeps the §VI scheme instead of reactive CAROL; its
-    # aggressive fine-tuning makes the fleet numbers lean on the
-    # scoring service's per-client weight overlays.  The POT gate is
-    # opened early (carol_overrides) so the overlay path is actually
-    # on the timed path, not just configured.
+    # --proactive sweeps the §VI scheme instead of reactive CAROL.  The
+    # POT gate is opened early (carol_overrides) so fine-tuning is
+    # actually on the timed path, not just configured.
     proactive = getattr(args, "proactive", False)
     return CampaignConfig(
         scenarios=("paper-default",),
@@ -166,64 +163,39 @@ def run_fleet_bench(args: argparse.Namespace) -> dict:
     prep_seconds, assets = _timed(prepare_campaign_assets, shared_config)
     print(f"shared asset preparation (once)         : {prep_seconds:6.2f} s")
 
-    # 2. Fleet mode (exact policy): one batched scoring service.
+    # 2. Fleet mode: workers lease cells from one service.
     tasks = plan_tasks(fleet_config)
-    stats_sink: list = []
     fleet_seconds, fleet_records = _timed(
-        run_fleet_campaign, fleet_config, tasks, assets, stats_sink
+        run_fleet_campaign, fleet_config, tasks, assets
     )
     fleet_total = prep_seconds + fleet_seconds
     fleet = CampaignResult(config=fleet_config, records=fleet_records)
     print(
-        f"fleet exec (exact)                      : {fleet_seconds:6.2f} s"
+        f"fleet exec                              : {fleet_seconds:6.2f} s"
         f"  (+prep = {fleet_total:.2f} s total)"
     )
 
     # 3. Process pool with the same shared assets: the bit-identity
-    #    anchor, and the scoring-consolidation share of the win.
+    #    anchor, and the executor's share of the difference.
     shared_seconds, shared = _timed(run_campaign, shared_config, prepared_assets=assets)
     print(f"process pool, shared assets             : {shared_seconds:6.2f} s")
 
     identical = fleet.rows() == shared.rows()
     assert identical, "fleet records diverged from process/shared records"
 
-    # 4. Merged-bucket fleet variant (throughput policy).
-    merged_sink: list = []
-    merged_seconds, merged_records = _timed(
-        run_fleet_campaign,
-        replace(fleet_config, fleet_merge=True),
-        plan_tasks(fleet_config),
-        assets,
-        merged_sink,
-    )
-    merged = CampaignResult(config=fleet_config, records=merged_records)
-    merged_equal = merged.rows() == fleet.rows()
-    print(
-        f"fleet exec (merged buckets)             : {merged_seconds:6.2f} s"
-        f"  (records {'==' if merged_equal else '!='} exact fleet)"
-    )
-
     speedup = pr1_seconds / max(fleet_total, 1e-9)
     exec_speedup = shared_seconds / max(fleet_seconds, 1e-9)
-    stats = stats_sink[0]
-    # Degradation telemetry: with overlays on, no fleet run may fall
-    # back to worker-local scoring, however often it fine-tuned.
-    fallbacks = sum(r.diagnostics.get("local_fallbacks", 0) for r in fleet_records)
-    overlays = sum(r.diagnostics.get("overlay_installs", 0) for r in fleet_records)
-    assert fallbacks == 0, f"{fallbacks} fleet ascents degraded to worker-local scoring"
+    fine_tunes = sum(r.diagnostics.get("n_fine_tunes", 0) for r in fleet_records)
     print(
         f"speedup vs PR-1 path: {speedup:.2f}x end-to-end "
         f"({exec_speedup:.2f}x exec-only vs process/shared); "
-        f"service saw {stats.n_requests} requests / "
-        f"{stats.n_elements} stacked candidates; "
-        f"{overlays} weight overlays installed, {fallbacks} local fallbacks"
+        f"{fine_tunes} fine-tunes"
     )
 
     return {
         "scenario": "paper-default",
         "model": model_name,
-        "local_fallbacks": fallbacks,
-        "overlay_installs": overlays,
+        "n_fine_tunes": fine_tunes,
         "n_runs": process_config.n_seeds,
         "workers": process_config.workers,
         "n_intervals": process_config.n_intervals,
@@ -233,17 +205,9 @@ def run_fleet_bench(args: argparse.Namespace) -> dict:
         "fleet_exec_s": round(fleet_seconds, 3),
         "fleet_total_s": round(fleet_total, 3),
         "process_shared_assets_s": round(shared_seconds, 3),
-        "fleet_merged_exec_s": round(merged_seconds, 3),
         "speedup_vs_pr1": round(speedup, 2),
         "exec_speedup_vs_process_shared": round(exec_speedup, 2),
         "bit_identical_fleet_vs_process": identical,
-        "merged_records_equal_exact": merged_equal,
-        "service": {
-            "requests": stats.n_requests,
-            "elements": stats.n_elements,
-            "batches": stats.n_batches,
-            "merged_elements_in_merged_mode": merged_sink[0].merged_elements,
-        },
     }
 
 
@@ -339,23 +303,13 @@ def run_tcp_bench(args: argparse.Namespace) -> dict:
     prep_seconds, assets = _timed(prepare_campaign_assets, queue_config)
     print(f"shared asset preparation (once)   : {prep_seconds:6.2f} s")
 
-    queue_sink: list = []
     queue_seconds, queue_records = _timed(
-        run_fleet_campaign,
-        queue_config,
-        plan_tasks(queue_config),
-        assets,
-        queue_sink,
+        run_fleet_campaign, queue_config, plan_tasks(queue_config), assets
     )
     print(f"fleet exec, queue transport       : {queue_seconds:6.2f} s")
 
-    tcp_sink: list = []
     tcp_seconds, tcp_records = _timed(
-        run_fleet_campaign,
-        tcp_config,
-        plan_tasks(tcp_config),
-        assets,
-        tcp_sink,
+        run_fleet_campaign, tcp_config, plan_tasks(tcp_config), assets
     )
     print(f"fleet exec, tcp transport (local) : {tcp_seconds:6.2f} s")
 
@@ -380,12 +334,6 @@ def run_tcp_bench(args: argparse.Namespace) -> dict:
         "tcp_exec_s": round(tcp_seconds, 3),
         "tcp_vs_queue_speedup": round(ratio, 2),
         "bit_identical_tcp_vs_queue": identical,
-        "service": {
-            "queue_requests": queue_sink[0].n_requests,
-            "tcp_requests": tcp_sink[0].n_requests,
-            "queue_elements": queue_sink[0].n_elements,
-            "tcp_elements": tcp_sink[0].n_elements,
-        },
     }
 
 
@@ -551,9 +499,8 @@ def main(argv=None) -> int:
             "examples: "
             "`bench_campaign.py --fleet` times reactive CAROL; "
             "`bench_campaign.py --fleet --proactive` sweeps the §VI "
-            "ProactiveCAROL scheme through the scoring service, with "
-            "per-client weight overlays keeping fine-tuned runs in "
-            "the consolidated stream (zero local fallbacks asserted)."
+            "ProactiveCAROL scheme with the POT gate opened early, so "
+            "fleet runs fine-tune on the timed path."
         ),
     )
     parser.add_argument(
@@ -580,7 +527,7 @@ def main(argv=None) -> int:
         "--proactive",
         action="store_true",
         help="fleet bench sweeps CAROL-Proactive instead of reactive CAROL "
-        "(POT gate opened early so fine-tuning + overlays are on the timed path)",
+        "(POT gate opened early so fine-tuning is on the timed path)",
     )
     parser.add_argument("--quick", action="store_true", help="reduced sizes for CI smoke")
     parser.add_argument(
@@ -619,8 +566,7 @@ def main(argv=None) -> int:
         args.runs = min(args.runs, 8)
         # The POT gate needs >= pot_calibration (floor 5) observations
         # before it can open: the proactive quick bench keeps enough
-        # intervals that fine-tuning -- and therefore the overlay path
-        # -- genuinely lands on the timed path.
+        # intervals that fine-tuning genuinely lands on the timed path.
         args.intervals = min(args.intervals, 6 if args.proactive else 4)
         args.trace_intervals = min(args.trace_intervals, 16)
         args.gon_hidden = min(args.gon_hidden, 12)

@@ -1,12 +1,12 @@
 """Assert two ``campaign --record-json`` dumps agree record-for-record.
 
 CI runs the fleet smoke twice -- once over the queue transport, once
-over TCP sockets against a separately served scoring service -- and
+over TCP sockets against a separately served fleet service -- and
 this check pins the transport contract in the pipeline itself: the
 deterministic record surface (scenario, model, seeds, every metric)
 must be **bit-identical** across transports.  Execution observability
-legitimately differs between modes -- diagnostics counters (overlay/
-fallback/cache) *and* the merged telemetry snapshot, which carries
+legitimately differs between modes -- diagnostics counters (cache,
+fine-tunes) *and* the merged telemetry snapshot, which carries
 wall-clock spans that differ on every run -- so both are explicitly
 stripped before comparison, exactly as ``RunRecord.row()`` excludes
 them from the deterministic surface.

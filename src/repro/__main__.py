@@ -22,19 +22,18 @@ The scenario subsystem adds two commands:
     python -m repro campaign --ci
 
 ``--shared-assets`` trains CAROL-family offline assets once per
-scenario instead of once per run; ``--fleet`` additionally runs the
-campaign through the shared scoring service of :mod:`repro.serving`
-(``--ci --fleet`` runs the tiny fleet smoke grid).  The §VI proactive
-scheme is a first-class campaign model (``--models carol-proactive``,
-alias ``proactive``) in every mode -- in fleet mode its fine-tuned
-replicas stay on the scoring service via per-client weight overlays.
-``--record-json PATH`` dumps the full per-run records (metrics +
-scorer diagnostics) as JSON; CI uploads the fleet smokes' dumps as
+scenario instead of once per run; ``--fleet`` additionally publishes
+them once and runs the campaign as an elastic fleet leasing cells from
+the service of :mod:`repro.serving` (``--ci --fleet`` runs the tiny
+fleet smoke grid).  The §VI proactive scheme is a first-class campaign
+model (``--models carol-proactive``, alias ``proactive``) in every
+mode.  ``--record-json PATH`` dumps the full per-run records (metrics
++ scorer diagnostics) as JSON; CI uploads the fleet smokes' dumps as
 build artifacts.
 
 Multi-node fleets split the two halves across commands::
 
-    # machine A: host the scoring service (trains/publishes assets)
+    # machine A: host the fleet service (trains/publishes assets)
     python -m repro serve --ci --expect-workers 2 --port 7911
 
     # machine B (or the same box): run the simulation workers
@@ -505,7 +504,7 @@ def _cmd_serve(args) -> int:
 
     def ready(host: str, port: int) -> None:
         print(
-            f"fleet scoring service listening on {host}:{port} "
+            f"fleet service listening on {host}:{port} "
             f"(expecting {expect_workers} workers, late joiners welcome; "
             f"connect with `python -m repro campaign ... --fleet "
             f"--transport tcp --connect {host}:{port}`)",
@@ -527,13 +526,11 @@ def _cmd_serve(args) -> int:
             auth_token=auth_token,
         )
     except (TransportError, RuntimeError) as error:
-        print(f"scoring service failed: {error}", file=sys.stderr)
+        print(f"fleet service failed: {error}", file=sys.stderr)
         return 1
     print(
-        f"service done: {stats.n_requests} requests / {stats.n_elements} "
-        f"stacked candidates in {stats.n_batches} batches; "
-        f"{stats.overlay_installs} overlay installs, "
-        f"{stats.overlay_evictions} evictions"
+        f"service done: {stats.leases_granted} leases granted, "
+        f"{stats.cells_completed} cells completed"
     )
     if args.telemetry_json and telemetry_sink:
         import json
@@ -557,7 +554,6 @@ def _cmd_export_gon(args) -> int:
     import numpy as np
 
     from .experiments import CampaignConfig, prepare_campaign_assets
-    from .experiments.fleet import _mount_gon
     from .nn.serialization import export_inference, verify_inference_pack
 
     try:
@@ -576,9 +572,7 @@ def _cmd_export_gon(args) -> int:
         message = error.args[0] if error.args else str(error)
         print(message, file=sys.stderr)
         return 2
-    model = _mount_gon(
-        assets.gon_state, assets.gon_hidden, assets.gon_layers, assets.seed
-    )
+    model = assets.fresh_gon()
     meta = {
         "scenario": args.scenario,
         "seed": args.seed,
@@ -814,15 +808,15 @@ def _shared_parents():
     transport.add_argument("--workers", type=int, default=1,
                            help="worker processes (1 = serial)")
     transport.add_argument("--fleet", action="store_true",
-                           help="fleet mode: shared assets + one batched "
-                                "GON scoring service")
+                           help="fleet mode: assets published once + "
+                                "workers leasing cells from one service")
     transport.add_argument("--transport", type=str, default="",
                            choices=["", "queue", "tcp"],
                            help="fleet plumbing: 'queue' (single machine, "
                                 "default) or 'tcp' (sockets; multi-node "
                                 "capable)")
     transport.add_argument("--connect", type=str, default="",
-                           help="host:port of an external scoring service "
+                           help="host:port of an external fleet service "
                                 "(python -m repro serve); implies "
                                 "--transport tcp")
     return grid, seeds, backend, transport
@@ -871,7 +865,7 @@ def main(argv=None) -> int:
 
     serve = subparsers.add_parser(
         "serve",
-        help="host a TCP GON scoring service for remote fleet workers",
+        help="host a TCP fleet service for remote fleet workers",
         parents=[grid_parent, seeds_parent, backend_parent],
     )
     serve.add_argument("--host", type=str, default="127.0.0.1",

@@ -24,7 +24,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..simulator.detection import FailureReport
-from ..telemetry import MetricsRegistry, merge_snapshots
+from ..telemetry import MetricsRegistry
 from ..simulator.engine import SystemView
 from ..simulator.metrics import IntervalMetrics
 from ..simulator.topology import Topology
@@ -211,9 +211,8 @@ class CAROL(ResilienceModel):
         # in O(1) instead of the O(n) list.pop(0).
         self.buffer: Deque[GONInput] = deque(maxlen=self.config.buffer_capacity)
         self.diagnostics = CAROLDiagnostics()
-        #: Execution backend for GON evaluations; the default runs
-        #: in-process, ``repro.serving.FleetScorer`` routes ascents to
-        #: a shared cross-federation scoring service.
+        #: Inference backend for GON evaluations (in-process
+        #: :class:`LocalScorer`; ``scorer`` picks its ascent engine).
         self.scorer: SurrogateScorer = (
             scorer if scorer is not None else LocalScorer(model)
         )
@@ -461,34 +460,25 @@ class CAROL(ResilienceModel):
 
     # ------------------------------------------------------------------
     def scorer_diagnostics(self) -> dict:
-        """The execution backend's counters plus this model's own.
+        """This model's record diagnostics.
 
-        Flat dict of integer counters (``local_fallbacks``,
-        ``overlay_installs`` when fleet-mounted, the cache counters,
+        Flat dict of integer counters (the cache counters,
         ``n_fine_tunes``) plus the ``decision_digest`` hex string,
-        surfaced into campaign records so fleet runs can assert, e.g.,
-        that overlays kept every diverged ascent on the service
-        (``local_fallbacks == 0``) and so record dumps from different
+        surfaced into campaign records so record dumps from different
         scorer backends can be checked for decision parity
         (``benchmarks/compare_records.py --decisions``).
         """
-        counters = dict(getattr(self.scorer, "diagnostics", None) or {})
-        counters.update(self.diagnostics.counters())
-        return counters
+        return self.diagnostics.counters()
 
     def telemetry_snapshot(self) -> dict:
-        """Merged per-instance registries (model + scorer).
+        """The per-instance ``carol.*`` registry snapshot.
 
-        The namespaced (``carol.*`` / ``scorer.*``) registry view of
-        :meth:`scorer_diagnostics`; :func:`repro.experiments.campaign.run_cell`
-        folds it into the process registry after every cell so campaign
-        telemetry aggregates per-model counters fleet-wide.
+        The namespaced registry view of :meth:`scorer_diagnostics`;
+        :func:`repro.experiments.campaign.run_cell` folds it into the
+        process registry after every cell so campaign telemetry
+        aggregates per-model counters fleet-wide.
         """
-        snaps = [self.diagnostics.telemetry.snapshot()]
-        scorer_registry = getattr(self.scorer, "telemetry", None)
-        if scorer_registry is not None:
-            snaps.append(scorer_registry.snapshot())
-        return merge_snapshots(*snaps)
+        return self.diagnostics.telemetry.snapshot()
 
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:

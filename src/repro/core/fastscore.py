@@ -24,13 +24,6 @@ Fidelity contract (the tiered parity gates of ``core/scoring.py``):
   sequential semantics;
 * ``float32`` mode (``fast32``) reuses the same kernels on downcast
   weights/state for the scoring (never training) path.
-
-Fused cross-request batching: :meth:`FastGONKernel.ascent` accepts
-*per-element* ``gamma`` and ``max_steps`` vectors.  Elements that hit
-their own step cap freeze exactly like tol-converged elements (their
-confidence is read from the same post-update forward), which is what
-lets the scoring service fuse same-shape requests with different
-ascent hyper-parameters into one kernel call.
 """
 
 from __future__ import annotations
@@ -423,8 +416,8 @@ class FastGONKernel:
         adjacencies: Sequence[np.ndarray],
         init_metrics: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-        gamma=1e-3,
-        max_steps=40,
+        gamma: float = 1e-3,
+        max_steps: int = 40,
         tol: float = 1e-5,
     ) -> List[SurrogateResult]:
         """Graph-free eq.-1 Adam ascent over a candidate stack.
@@ -432,9 +425,7 @@ class FastGONKernel:
         Semantics match :func:`repro.core.surrogate.
         generate_metrics_batch` element for element (warm starts,
         per-element convergence freezing, confidence read from the
-        post-update forward).  ``gamma`` and ``max_steps`` may be
-        per-element vectors, which is what lets the scoring service
-        fuse same-shape requests with different hyper-parameters.
+        post-update forward).
         """
         schedules = np.asarray(schedules, dtype=float)
         adjacencies = np.asarray(adjacencies, dtype=float)
@@ -447,14 +438,11 @@ class FastGONKernel:
         if batch == 0:
             return []
         n_hosts = schedules.shape[1]
-        gamma_vec = np.broadcast_to(
-            np.asarray(gamma, dtype=float), (batch,)
-        ).astype(self.dtype)
-        if np.any(gamma_vec <= 0):
+        if gamma <= 0:
             raise ValueError("gamma must be positive")
-        caps = np.broadcast_to(np.asarray(max_steps, dtype=int), (batch,)).copy()
-        if np.any(caps < 0):
+        if max_steps < 0:
             raise ValueError("max_steps must be >= 0")
+        step_size = np.asarray(gamma, dtype=self.dtype)
 
         if init_metrics is None:
             if rng is None:
@@ -490,7 +478,7 @@ class FastGONKernel:
                 tag=tag,
             )
             rows: Optional[np.ndarray] = None
-            for step in range(int(caps.max(initial=0))):
+            for step in range(int(max_steps)):
                 if active.size == 0:
                     break
                 gradient = self._input_gradient(saved, rows)
@@ -504,11 +492,7 @@ class FastGONKernel:
                 )
                 m_hat = first_moment[active] / (1 - beta1 ** (step + 1))
                 v_hat = second_moment[active] / (1 - beta2 ** (step + 1))
-                update = (
-                    gamma_vec[active][:, None, None]
-                    * m_hat
-                    / (np.sqrt(v_hat) + 1e-8)
-                )
+                update = step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
                 current[active] = np.clip(current[active] + update, 0.0, 3.0)
                 steps_taken[active] = step + 1
 
@@ -520,7 +504,7 @@ class FastGONKernel:
                 tol_done = (
                     np.abs(update).reshape(active.size, -1).max(axis=1) < tol
                 )
-                done = tol_done | (steps_taken[active] >= caps[active])
+                done = tol_done | (steps_taken[active] >= max_steps)
                 if done.any():
                     frozen = active[done]
                     converged[frozen] = tol_done[done]

@@ -20,11 +20,8 @@ This module implements that scheme on top of the reactive CAROL loop:
 Campaigns sweep this scheme under the model name ``CAROL-Proactive``
 (``python -m repro campaign --models carol-proactive ...``), in every
 execution mode including ``--fleet``: the proactive loop scores all
-its slates through the shared :class:`~repro.core.scoring.SurrogateScorer`
-seam, so fleet runs consolidate into the batched scoring service, and
--- because ProactiveCAROL fine-tunes like reactive CAROL does -- rely
-on the service's per-client weight overlays to stay there after the
-POT gate first opens (see :mod:`repro.serving`).
+its slates through the :class:`~repro.core.scoring.SurrogateScorer`
+seam, in-process in every mode.
 """
 
 from __future__ import annotations

@@ -3,15 +3,12 @@
 CAROL's decision loop needs three operations from its surrogate --
 batched eq.-1 ascents over candidate stacks, single-sample confidence
 reads, and confidence-gated fine-tuning.  This module pins that surface
-down as the *scorer* interface so the execution backend is swappable:
-
-* :class:`LocalScorer` (the default) runs everything in-process on the
-  model CAROL owns -- the PR-2 batched engine, unchanged behaviour;
-* ``repro.serving.FleetScorer`` routes ascent stacks to a shared
-  scoring service consolidating many concurrent federations into one
-  batched GON stream; when fine-tuning diverges this replica from the
-  fleet, the new weights ship to the service as a per-client overlay
-  so the run stays in the consolidated stream.
+down as the *scorer* interface so the inference backend is swappable.
+:class:`LocalScorer` runs everything in-process on the model CAROL
+owns, beside the broker it repairs as in the paper (§III).  Every
+execution mode uses it: serial and process-pool cells, and fleet
+workers, which build their models through the same factory over the
+published assets.
 
 Every scorer carries a monotone ``generation`` counter, bumped exactly
 when :meth:`fine_tune` mutates the model.  CAROL's persistent surrogate
@@ -19,17 +16,10 @@ cache keys its validity on this counter: scores stay reusable across
 scheduling intervals precisely as long as the generation stands still
 (the model only changes when the POT gate opens -- §III-B).
 
-Scorers also expose a ``diagnostics`` mapping of integer counters.
-The ``local_fallbacks`` key is the degradation telemetry campaigns
-assert on: it counts ascents a scorer had to run outside its
-consolidated stream (always 0 for :class:`LocalScorer`, whose stream
-*is* local; 0 for ``FleetScorer`` precisely when overlays keep every
-diverged ascent on the service).
-
 Inference backends and the parity contract
 ------------------------------------------
-``LocalScorer`` (and, through it, the serving layer) selects one of
-three *inference backends* for the eq.-1 ascent:
+``LocalScorer`` selects one of three *inference backends* for the
+eq.-1 ascent:
 
 ``"exact"`` (default)
     The autodiff Tensor-graph engine (`generate_metrics_batch`).  This
@@ -66,11 +56,10 @@ fine-tuned scorer never serves stale parameters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..telemetry import MetricsRegistry
 from .features import GONInput
 from .gon import GONDiscriminator
 from .surrogate import SurrogateResult, generate_metrics_batch
@@ -97,11 +86,6 @@ class SurrogateScorer(Protocol):
 
     #: Bumped once per :meth:`fine_tune`; persistent caches key on it.
     generation: int
-
-    #: Integer telemetry counters; every scorer carries at least
-    #: ``local_fallbacks`` (ascents degraded out of the scorer's
-    #: consolidated stream -- see the module docstring).
-    diagnostics: Dict[str, int]
 
     def ascent(
         self,
@@ -144,13 +128,6 @@ class LocalScorer:
         self.generation = 0
         self._kernel = None
         self._kernel_generation = -1
-        # Per-instance registry backing the legacy ``diagnostics``
-        # mapping (always enabled: these are record diagnostics, not
-        # wall-clock telemetry).  In-process scoring is the
-        # consolidated stream here: nothing to fall back from, so the
-        # counter stays 0 by construction.
-        self.telemetry = MetricsRegistry()
-        self._fallbacks = self.telemetry.counter("scorer.local_fallbacks")
 
     def _fast_kernel(self):
         """The cached fast kernel, re-exported after fine-tuning."""
@@ -161,11 +138,6 @@ class LocalScorer:
             self._kernel = FastGONKernel.from_model(self.model, dtype=dtype)
             self._kernel_generation = self.generation
         return self._kernel
-
-    @property
-    def diagnostics(self) -> Dict[str, int]:
-        """Legacy integer-counter view of :attr:`telemetry`."""
-        return {"local_fallbacks": self._fallbacks.value}
 
     def ascent(
         self,

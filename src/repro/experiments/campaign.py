@@ -27,8 +27,8 @@ half, :func:`campaign_config_hash`, is the SHA-256 of
 :func:`campaign_grid_identity`: exactly the
 :class:`CampaignConfig` fields that can change record *content*
 (:data:`GRID_IDENTITY_FIELDS` -- grid axes, root seed, interval and
-offline-training sizes, ``shared_assets``, ``fleet_merge``,
-``carol_overrides``, ``scorer_backend``) and **deliberately not** the
+offline-training sizes, ``shared_assets``, ``carol_overrides``,
+``scorer_backend``) and **deliberately not** the
 execution-topology fields (``workers``, ``mode``, ``transport``,
 ``service_addr``, timeouts, retry budget, credentials, the store
 settings themselves), because the cross-mode bit-identity contract
@@ -49,7 +49,8 @@ scenario in the parent -- seeded from the campaign root, not the run
 seed -- and shipped to workers as pickled copies.  ``mode="fleet"``
 (which implies shared assets) instead publishes those assets *once*
 into ``multiprocessing.shared_memory`` and runs lightweight simulation
-workers that feed one batched GON scoring service -- see
+workers that lease cells from one service and run each through
+:func:`_execute_run`, the pool's own factory -- see
 :mod:`repro.serving` and :mod:`repro.experiments.fleet`.  The
 bit-identity guarantee extends across all modes at equal
 ``shared_assets``: serial, process-pool and fleet execution of the
@@ -164,17 +165,16 @@ class CampaignConfig:
     gon_layers: int = 2
     gon_epochs: int = 6
     #: Execution backend: "process" fans runs across a process pool;
-    #: "fleet" runs simulation workers against one shared batched GON
-    #: scoring service (implies ``shared_assets``).
+    #: "fleet" runs simulation workers that lease cells from one
+    #: service over published assets (implies ``shared_assets``).
     mode: str = "process"
     #: Fleet plumbing: "queue" keeps the single-machine
-    #: ``multiprocessing`` path (bit-for-bit the historical
-    #: behaviour); "tcp" frames the same request/reply dataclasses
-    #: over sockets (:mod:`repro.serving.wire`) so workers may live on
-    #: other machines.  Both transports produce records bit-identical
-    #: to serial execution.
+    #: ``multiprocessing`` path; "tcp" frames the same request/reply
+    #: dataclasses over sockets (:mod:`repro.serving.wire`) so workers
+    #: may live on other machines.  Both transports produce records
+    #: bit-identical to serial execution.
     transport: str = "queue"
-    #: TCP only: ``"host:port"`` of an externally hosted scoring
+    #: TCP only: ``"host:port"`` of an externally hosted fleet
     #: service (``python -m repro serve``).  When set, this campaign
     #: spawns only simulation workers -- they connect to the remote
     #: service and fetch the offline assets over the socket, so no
@@ -186,26 +186,18 @@ class CampaignConfig:
     #: CAROL-family records contain -- it is part of the grid spec, so
     #: serial == process == fleet holds at equal ``shared_assets``.
     shared_assets: bool = False
-    #: Fleet only: let the scoring service concatenate concurrent
-    #: request stacks into one ascent per bucket.  Maximum GON
-    #: consolidation, but scores match the exact path only to ~1e-15
-    #: (BLAS gemm varies in the last ulp with the leading dimension),
-    #: so the bitwise record guarantee is waived -- see
-    #: :mod:`repro.serving.service`.
-    fleet_merge: bool = False
     #: Extra :class:`~repro.core.CAROLConfig` fields applied to every
     #: CAROL-family cell, as ``((field, value), ...)`` pairs (hashable
     #: and picklable).  Part of the grid spec, so the serial == process
     #: == fleet bit-identity contract covers it -- e.g.
     #: ``(("pot_calibration", 5),)`` makes short grids open the POT
-    #: gate and exercise fine-tuning (the overlay path in fleet mode).
+    #: gate and exercise fine-tuning.
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
     #: GON ascent engine for CAROL-family cells:
     #: ``"exact"`` (default) is the autodiff oracle -- the bit-exact
     #: reference path; ``"fast"``/``"fast32"`` score ascents on the
     #: graph-free :mod:`repro.core.fastscore` kernel (float64 /
-    #: float32), CI-gated to identical repair decisions.  In fleet
-    #: mode the scoring service adopts the same backend.
+    #: float32), CI-gated to identical repair decisions.
     scorer_backend: str = "exact"
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
@@ -287,7 +279,7 @@ class CampaignConfig:
         if self.transport == "tcp" and self.mode != "fleet":
             raise ValueError(
                 "transport='tcp' requires mode='fleet' (only fleet "
-                "campaigns route scoring through a service)"
+                "campaigns lease cells from a service)"
             )
         if self.service_addr:
             if self.transport != "tcp":
@@ -320,9 +312,8 @@ class CampaignConfig:
                     f"carol_overrides; known: {sorted(known_fields)}"
                 )
         if self.mode == "fleet" and not self.shared_assets:
-            # Fleet consolidation requires one published weight set per
-            # scenario; per-run training would give every run a private
-            # model and nothing to share.
+            # Fleet workers mount one published weight set per scenario;
+            # per-run training would leave nothing to publish.
             object.__setattr__(self, "shared_assets", True)
 
 
@@ -346,7 +337,6 @@ GRID_IDENTITY_FIELDS = (
     "gon_layers",
     "gon_epochs",
     "shared_assets",
-    "fleet_merge",
     "carol_overrides",
     "scorer_backend",
 )
@@ -372,7 +362,6 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
         "gon_layers": config.gon_layers,
         "gon_epochs": config.gon_epochs,
         "shared_assets": config.shared_assets,
-        "fleet_merge": config.fleet_merge,
         "carol_overrides": [
             [name, value] for name, value in config.carol_overrides
         ],
@@ -437,12 +426,10 @@ class RunRecord:
     #: The integer seed actually used for the run.
     seed: int
     metrics: Dict[str, float]
-    #: Execution telemetry (scorer fallback/overlay counters, cache
-    #: and fine-tune counts).  Deliberately excluded from :meth:`row`:
-    #: it describes *how* the cell executed, not the deterministic
-    #: outcome, so the cross-mode bit-identity contract ignores it
-    #: (a fleet record legitimately reports overlay installs where its
-    #: serial twin has none).
+    #: Execution telemetry (cache and fine-tune counts, the decision
+    #: digest).  Deliberately excluded from :meth:`row`: it describes
+    #: *how* the cell executed, not the deterministic outcome, so the
+    #: cross-mode bit-identity contract ignores it.
     diagnostics: Dict[str, int] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
@@ -724,7 +711,7 @@ class CampaignResult:
         What ``python -m repro campaign --record-json`` writes and CI
         uploads as an artifact; records carry both the deterministic
         metrics (the bit-identity surface) and the execution
-        diagnostics (fallback/overlay/cache counters).
+        diagnostics (cache/fine-tune counters, decision digest).
         """
         return {
             "config": {
@@ -738,7 +725,6 @@ class CampaignResult:
                 "transport": self.config.transport,
                 "service_addr": self.config.service_addr,
                 "shared_assets": self.config.shared_assets,
-                "fleet_merge": self.config.fleet_merge,
                 "scorer_backend": self.config.scorer_backend,
                 "heartbeat_timeout": self.config.heartbeat_timeout,
                 "cell_retry_budget": self.config.cell_retry_budget,
@@ -976,13 +962,12 @@ def ci_campaign_config(workers: int = 2) -> CampaignConfig:
 
 def fleet_ci_campaign_config(workers: int = 2) -> CampaignConfig:
     """The fleet-mode smoke grid: a tiny CAROL + ProactiveCAROL
-    campaign through the shared-memory assets and the batched scoring
-    service.
+    campaign through the shared-memory assets and the lease service.
 
     One scenario x {CAROL, CAROL-Proactive} x two seeds at three
     intervals with a midget GON -- seconds of work, yet it exercises
-    asset publication, the worker/scorer queues, bucketed batching,
-    proactive fleet routing and record collection.
+    asset publication, the worker/service queues, leasing and record
+    collection.
     """
     return CampaignConfig(
         scenarios=("paper-default",),

@@ -1,20 +1,21 @@
 """Fleet-mode campaign execution: an elastic, lease-based work queue.
 
-The process-pool path runs ``N`` full replicas: every worker pickles
-its own copy of the offline assets and executes its own GON inference
-stream.  Fleet mode splits the run differently (see
-:mod:`repro.serving` for the subsystem diagram):
+The process-pool path pickles a copy of the offline assets into every
+worker.  Fleet mode publishes them instead (see :mod:`repro.serving`
+for the subsystem diagram):
 
 * the parent publishes each scenario's trained GON weights and trace
-  stacks *once*;
+  stacks *once* (shared memory, or an asset channel on the TCP
+  transport);
 * ``N`` lightweight simulation workers mount read-only views of those
-  assets and run the discrete-interval loop;
-* every CAROL-family surrogate ascent is submitted to the
-  :class:`~repro.serving.GONScoringService`, which buckets concurrent
-  requests by ``(scenario, host count)`` and answers them with batched
-  eq.-1 ascents on the single resident weight replica.
+  assets and run every leased cell through
+  :func:`campaign._execute_run` -- the process pool's own model
+  factory, so each worker scores its GON ascents in-process with a
+  :class:`~repro.core.scoring.LocalScorer` over ``fresh_gon()``;
+* the :class:`~repro.serving.GONScoringService` only leases cells,
+  settles acknowledgements and merges worker telemetry.
 
-Cells are no longer pre-sharded across workers.  The coordinator side
+Cells are not pre-sharded across workers.  The coordinator side
 holds the whole ``(scenario, model, seed)`` grid as a lease-based
 queue (:class:`~repro.serving.CellCoordinator`); every worker pulls
 one cell at a time (``LeaseRequest`` -> ``LeaseGrant``), runs it,
@@ -38,8 +39,8 @@ re-queue and duplicate suppression safe:
 Two transports carry the traffic (``CampaignConfig.transport``):
 
 * ``"queue"`` -- ``multiprocessing`` queues and shared-memory asset
-  segments; the fleet lives on one machine (the historical path,
-  preserved bit-for-bit behind :class:`~repro.serving.QueueTransport`);
+  segments; the fleet lives on one machine
+  (:class:`~repro.serving.QueueTransport`);
 * ``"tcp"`` -- length-prefixed binary frames over sockets
   (:mod:`repro.serving.wire`); workers fetch assets over the socket
   and may live on other machines.  With ``CampaignConfig.service_addr``
@@ -47,14 +48,12 @@ Two transports carry the traffic (``CampaignConfig.transport``):
   (``python -m repro serve``) instead of one spawned here.
 
 Record-level bit-identity with serial execution holds on both
-transports because (a) the scored stacks are exactly the stacks an
-in-process scorer would run (exact policy -- see
-:mod:`repro.serving.service` for why merging cannot be bitwise), (b)
-workers keep every RNG stream local, (c) a run whose POT gate opens
-fine-tunes a private copy-on-write weight copy exactly as its serial
-twin would, then ships the diverged state back as a per-client overlay
-(``pack_state`` roundtrips are bit-exact), and (d) the TCP wire moves
-float64 payloads as raw packed bytes, never through text.
+transports because (a) a fleet cell runs the very factory and
+:func:`campaign.run_cell` tail a serial cell runs, (b) workers keep
+every RNG stream local, and (c) the published weights are bit-exact
+copies of the trained state (``pack_state`` roundtrips are bit-exact,
+and the TCP wire moves float64 payloads as raw packed bytes, never
+through text).
 """
 
 from __future__ import annotations
@@ -72,16 +71,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import telemetry as _telemetry
-from ..baselines import AlwaysFineTune, NeverFineTune
-from ..core import CAROL, GONDiscriminator, GONInput, ProactiveCAROL
-from ..nn.serialization import pack_state, unpack_state
+from ..core import GONInput
+from ..nn.serialization import pack_state
 from ..serving import (
     AttachedArrayPack,
     ClientDone,
-    FleetScorer,
     GONScoringService,
     QueueTransport,
-    ScoringClient,
     ServiceStats,
     SharedArrayPack,
     SharedPackHandle,
@@ -96,30 +92,18 @@ from ..serving.chaos import ChaosControl
 from ..serving.coordinator import CellCoordinator
 from ..serving.service import CellDone, LeaseGrant, LeaseRequest, Ping, WorkerLost
 from ..telemetry import merge_snapshots
-from .calibration import PROACTIVE_NAME, TrainedAssets, build_model
+from .calibration import TrainedAssets
 from .campaign import (
     RunRecord,
     RunTask,
     _CAROL_FAMILY,
+    _execute_run,
     campaign_config_hash,
     campaign_grid_identity,
-    cell_carol_config,
     plan_tasks,
-    run_cell,
 )
 
 __all__ = ["run_fleet_campaign", "serve_fleet_service", "FleetChaosHandle"]
-
-#: CAROL-family models whose GON evaluations route through the service.
-#: ProactiveCAROL fine-tunes aggressively, so its fleet presence leans
-#: on the service's per-client weight overlays to stay consolidated
-#: past the first POT-gated fine-tune.
-_GON_CAROL_CLASSES = {
-    "CAROL": CAROL,
-    PROACTIVE_NAME: ProactiveCAROL,
-    "CAROL-AlwaysFT": AlwaysFineTune,
-    "CAROL-NeverFT": NeverFineTune,
-}
 
 #: Seconds to wait for a straggler record/worker before giving up.
 _COLLECT_TIMEOUT = 120.0
@@ -160,10 +144,7 @@ class _ScenarioHandles:
 
     weights: SharedPackHandle
     trace: SharedPackHandle
-    gon_hidden: int
-    gon_layers: int
-    seed: int
-    gan_seed: int
+    meta: Dict[str, int]
 
 
 @dataclass
@@ -174,8 +155,8 @@ class FleetChaosHandle:
     daemon thread once the workers have started -- the failure-matrix
     tests use it to SIGKILL workers mid-cell, revoke leases, or spawn
     late joiners against a *real* running campaign.  ``coordinator``,
-    ``service`` and ``transport`` are ``None`` when the scoring
-    service is remote; ``spawn_worker`` is only available on the TCP
+    ``service`` and ``transport`` are ``None`` when the lease service
+    is remote; ``spawn_worker`` is only available on the TCP
     paths (queue transports have a fixed reply-queue roster).
     """
 
@@ -197,41 +178,20 @@ def _trace_arrays(assets: TrainedAssets) -> Dict[str, np.ndarray]:
     }
 
 
-def _publish_assets(
-    assets: TrainedAssets,
-) -> tuple:
-    """Publish one scenario's weights + trace into shared memory."""
-    weight_pack = SharedArrayPack(assets.gon_state)
-    trace_pack = SharedArrayPack(_trace_arrays(assets))
-    handles = _ScenarioHandles(
-        weights=weight_pack.handle,
-        trace=trace_pack.handle,
-        gon_hidden=assets.gon_hidden,
-        gon_layers=assets.gon_layers,
-        seed=assets.seed,
-        gan_seed=assets.gan_seed,
-    )
-    return weight_pack, trace_pack, handles
-
-
-def _mount_gon(
-    state: Dict[str, np.ndarray], hidden: int, layers: int, seed: int
-) -> GONDiscriminator:
-    """A GON whose parameters are zero-copy views of ``state``."""
-    model = GONDiscriminator(
-        np.random.default_rng(seed), hidden=hidden, n_layers=layers
-    )
-    model.load_state_dict(state, copy=False)
-    return model
+def _asset_meta(assets: TrainedAssets) -> Dict[str, int]:
+    """The scalars a worker needs next to the published arrays."""
+    return {
+        "gon_hidden": assets.gon_hidden,
+        "gon_layers": assets.gon_layers,
+        "seed": assets.seed,
+        "gan_seed": assets.gan_seed,
+    }
 
 
 def _rebuild_assets(
     weight_arrays: Dict[str, np.ndarray],
     trace_arrays: Dict[str, np.ndarray],
-    gon_hidden: int,
-    gon_layers: int,
-    seed: int,
-    gan_seed: int,
+    meta: Dict[str, int],
 ) -> TrainedAssets:
     """Worker side: :class:`TrainedAssets` over published array views."""
     n_samples = trace_arrays["metrics"].shape[0]
@@ -247,67 +207,12 @@ def _rebuild_assets(
         ],
         objectives=[float(v) for v in trace_arrays["objectives"]],
         gon_state=weight_arrays,
-        gon_hidden=gon_hidden,
-        gon_layers=gon_layers,
+        gon_hidden=int(meta["gon_hidden"]),
+        gon_layers=int(meta["gon_layers"]),
         training_history=None,
-        gan_seed=gan_seed,
-        seed=seed,
+        gan_seed=int(meta["gan_seed"]),
+        seed=int(meta["seed"]),
     )
-
-
-def _attach_assets(handles: _ScenarioHandles) -> tuple:
-    """Worker side: rebuild :class:`TrainedAssets` over shared views."""
-    weight_pack = AttachedArrayPack(handles.weights)
-    trace_pack = AttachedArrayPack(handles.trace)
-    assets = _rebuild_assets(
-        weight_pack.arrays,
-        trace_pack.arrays,
-        handles.gon_hidden,
-        handles.gon_layers,
-        handles.seed,
-        handles.gan_seed,
-    )
-    return assets, (weight_pack, trace_pack)
-
-
-def _execute_fleet_run(
-    task: RunTask,
-    assets: Optional[TrainedAssets],
-    client: ScoringClient,
-) -> RunRecord:
-    """One grid cell with service-routed GON scoring.
-
-    Runs through the same :func:`campaign.run_cell` tail as every
-    other mode; only the model factory differs -- GON-CAROL models
-    mount the shared weight views and a :class:`FleetScorer` instead
-    of a private copy of the weights.
-    """
-
-    def build(config, _run_seed):
-        model_class = _GON_CAROL_CLASSES.get(task.model)
-        if model_class is None:
-            return build_model(
-                task.model, assets, config,
-                carol_config=cell_carol_config(task, config),
-                scorer_backend=task.scorer_backend,
-            )
-        if assets is None:
-            raise RuntimeError(
-                f"fleet run {task.model!r} needs published scenario assets"
-            )
-        gon = _mount_gon(
-            assets.gon_state, assets.gon_hidden, assets.gon_layers,
-            assets.seed,
-        )
-        return model_class(
-            gon,
-            config.alpha,
-            config.beta,
-            cell_carol_config(task, config),
-            scorer=FleetScorer(client, gon, backend=task.scorer_backend),
-        )
-
-    return run_cell(task, build)
 
 
 def _heartbeat_interval(heartbeat_timeout: float) -> float:
@@ -342,55 +247,71 @@ def _start_heartbeat(
     return stop
 
 
-def _run_lease_loop(
+def _run_worker(
+    worker_id: int,
     client_id: int,
-    tasks_by_cell: Dict[int, RunTask],
+    tasks: Sequence[RunTask],
     assets_by_scenario: Dict[str, TrainedAssets],
     request_endpoint,
     reply_endpoint,
     results_queue,
+    heartbeat_interval: float,
     base: dict,
-) -> Tuple[int, ...]:
+) -> None:
     """Pull-run-acknowledge until the coordinator reports the grid drained.
 
+    Every worker receives the *full* task list -- which cells it
+    actually runs is decided lease by lease at runtime, and each one
+    runs through :func:`campaign._execute_run` on the mounted assets.
     ``request_endpoint`` / ``reply_endpoint`` are queue-likes (the
     worker's mp queues, or the :class:`TcpWorkerChannel` twice).
-    Returns the poisoned cell ids the drained grant carried.  Raises
-    on protocol violations (the reply to a ``LeaseRequest`` must be
-    the matching ``LeaseGrant`` -- anything else means the service and
-    worker disagree about the conversation state).
+    Raises on protocol violations (the reply to a ``LeaseRequest``
+    must be the matching ``LeaseGrant`` -- anything else means the
+    service and worker disagree about the conversation state).
     """
-    request_ids = _count(1)
-    while True:
-        request_id = next(request_ids)
-        request_endpoint.put(
-            LeaseRequest(client_id=client_id, request_id=request_id)
-        )
-        grant = reply_endpoint.get()
-        if not isinstance(grant, LeaseGrant) or grant.request_id != request_id:
-            raise RuntimeError(
-                f"worker {client_id} lease request {request_id} answered "
-                f"with {type(grant).__name__}: fleet protocol violated"
+    tasks_by_cell = {task.run_index: task for task in tasks}
+    stop_heartbeat = _start_heartbeat(
+        client_id, request_endpoint.put, heartbeat_interval
+    )
+    try:
+        for request_id in _count(1):
+            request_endpoint.put(
+                LeaseRequest(client_id=client_id, request_id=request_id)
             )
-        if grant.drained:
-            return tuple(int(cell) for cell in grant.poisoned)
-        if grant.cell_id < 0:
-            # Queue momentarily empty but not drained: cells leased
-            # elsewhere may yet be revoked and re-queued.
-            time.sleep(_LEASE_POLL_SECONDS)
-            continue
-        task = tasks_by_cell[grant.cell_id]
-        client = ScoringClient(
-            client_id, task.scenario, request_endpoint, reply_endpoint
-        )
-        record = _execute_fleet_run(
-            task, assets_by_scenario.get(task.scenario), client
-        )
-        results_queue.put(record)
-        request_endpoint.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
-        # Cumulative-so-far snapshot for the service's live /status
-        # view (latest per client replaces earlier ones).
-        request_endpoint.put(StatsUpdate(client_id, _telemetry.delta(base)))
+            grant = reply_endpoint.get()
+            if not isinstance(grant, LeaseGrant) or grant.request_id != request_id:
+                raise RuntimeError(
+                    f"worker {client_id} lease request {request_id} answered "
+                    f"with {type(grant).__name__}: fleet protocol violated"
+                )
+            if grant.drained:
+                break
+            if grant.cell_id < 0:
+                # Queue momentarily empty but not drained: cells leased
+                # elsewhere may yet be revoked and re-queued.
+                time.sleep(_LEASE_POLL_SECONDS)
+                continue
+            task = tasks_by_cell[grant.cell_id]
+            assets = assets_by_scenario.get(task.scenario)
+            if assets is None and task.model in _CAROL_FAMILY:
+                raise RuntimeError(
+                    f"fleet run {task.model!r} needs published scenario assets"
+                )
+            results_queue.put(_execute_run(task, assets))
+            request_endpoint.put(CellDone(client_id=client_id, cell_id=grant.cell_id))
+            # Cumulative-so-far snapshot for the service's live /status
+            # view (latest per client replaces earlier ones).
+            request_endpoint.put(StatsUpdate(client_id, _telemetry.delta(base)))
+        poisoned = tuple(int(cell) for cell in grant.poisoned)
+        results_queue.put(_WorkerDone(worker_id, _telemetry.delta(base), poisoned))
+    finally:
+        # Sign off even on failure so the service can revoke this
+        # worker's lease and hand the cell to a survivor.
+        stop_heartbeat.set()
+        try:
+            request_endpoint.put(ClientDone(client_id))
+        except Exception:
+            pass  # the socket is already gone; the service saw the EOF
 
 
 def _fleet_worker_main(
@@ -402,43 +323,26 @@ def _fleet_worker_main(
     results_queue,
     heartbeat_interval: float = 5.0,
 ) -> None:
-    """Worker process: mount shared assets, lease cells, stream records.
-
-    Every worker receives the *full* task list -- which cells it
-    actually runs is decided lease by lease at runtime.
-    """
-    opened: List[AttachedArrayPack] = []
-    # Everything below is reported relative to this base so the
+    """Queue worker: attach the shared-memory assets, lease cells."""
+    # Everything is reported relative to this base so the
     # fork-inherited parent registry state never double-counts.
     base = _telemetry.snapshot()
-    stop_heartbeat = threading.Event()
+    opened: List[AttachedArrayPack] = []
     try:
         assets_by_scenario: Dict[str, TrainedAssets] = {}
         for scenario, scenario_handles in handles.items():
-            assets, packs = _attach_assets(scenario_handles)
-            assets_by_scenario[scenario] = assets
-            opened.extend(packs)
-        tasks_by_cell = {task.run_index: task for task in tasks}
-        stop_heartbeat = _start_heartbeat(
-            worker_id, request_queue.put, heartbeat_interval
-        )
-        poisoned = _run_lease_loop(
-            worker_id,
-            tasks_by_cell,
-            assets_by_scenario,
-            request_queue,
-            reply_queue,
-            results_queue,
+            weights = AttachedArrayPack(scenario_handles.weights)
+            trace = AttachedArrayPack(scenario_handles.trace)
+            opened.extend((weights, trace))
+            assets_by_scenario[scenario] = _rebuild_assets(
+                weights.arrays, trace.arrays, scenario_handles.meta
+            )
+        _run_worker(
+            worker_id, worker_id, tasks, assets_by_scenario,
+            request_queue, reply_queue, results_queue, heartbeat_interval,
             base,
         )
-        results_queue.put(
-            _WorkerDone(worker_id, _telemetry.delta(base), poisoned)
-        )
     finally:
-        # Sign off even on failure so the scorer loop can revoke this
-        # worker's lease and hand the cell to a survivor.
-        stop_heartbeat.set()
-        request_queue.put(ClientDone(worker_id))
         for pack in opened:
             pack.close()
 
@@ -453,8 +357,7 @@ def _tcp_fleet_worker_main(
 ) -> None:
     """TCP worker: connect, fetch assets over the socket, lease cells.
 
-    Mirrors :func:`_fleet_worker_main` with the network asset path:
-    each needed scenario's weight and trace packs are fetched once
+    Each needed scenario's weight and trace packs are fetched once
     (cached per process by :func:`repro.serving.fetch_array_pack`)
     instead of attaching ``multiprocessing.shared_memory``.  The
     client id is assigned by the service at handshake -- late joiners
@@ -463,83 +366,41 @@ def _tcp_fleet_worker_main(
     """
     channel = TcpWorkerChannel(address, auth_token=auth_token)
     base = _telemetry.snapshot()
-    stop_heartbeat = threading.Event()
     try:
         index = channel.fetch_index()
-        assets_by_scenario: Dict[str, TrainedAssets] = {}
-        needed = sorted(
-            {task.scenario for task in tasks if task.model in _CAROL_FAMILY}
-        )
-        for scenario in needed:
-            meta = index.get(scenario)
-            if meta is None:
-                continue
-            weights = fetch_array_pack(channel, f"{scenario}/weights")
-            trace = fetch_array_pack(channel, f"{scenario}/trace")
-            assets_by_scenario[scenario] = _rebuild_assets(
-                weights.arrays,
-                trace.arrays,
-                int(meta["gon_hidden"]),
-                int(meta["gon_layers"]),
-                int(meta["seed"]),
-                int(meta["gan_seed"]),
+        needed = {task.scenario for task in tasks if task.model in _CAROL_FAMILY}
+        assets_by_scenario = {
+            scenario: _rebuild_assets(
+                fetch_array_pack(channel, f"{scenario}/weights").arrays,
+                fetch_array_pack(channel, f"{scenario}/trace").arrays,
+                index[scenario],
             )
-        tasks_by_cell = {task.run_index: task for task in tasks}
-        stop_heartbeat = _start_heartbeat(
-            channel.client_id, channel.put, heartbeat_interval
-        )
-        poisoned = _run_lease_loop(
-            channel.client_id,
-            tasks_by_cell,
-            assets_by_scenario,
-            channel,
-            channel,
-            results_queue,
-            base,
-        )
-        results_queue.put(
-            _WorkerDone(worker_id, _telemetry.delta(base), poisoned)
+            for scenario in sorted(needed & set(index))
+        }
+        _run_worker(
+            worker_id, channel.client_id, tasks, assets_by_scenario,
+            channel, channel, results_queue, heartbeat_interval, base,
         )
     finally:
-        stop_heartbeat.set()
-        try:
-            channel.put(ClientDone(channel.client_id))
-        except Exception:
-            pass  # the socket is already gone; the service saw the EOF
         channel.close()
 
 
 def _pack_campaign_assets(
     shared_assets: Dict[str, TrainedAssets],
-) -> Tuple[Dict[str, tuple], Dict[str, Dict[str, int]], Dict[str, GONDiscriminator]]:
+) -> Tuple[Dict[str, tuple], Dict[str, Dict[str, int]]]:
     """Pack every scenario's assets for TCP publication.
 
-    Returns ``(asset_packs, asset_index, models)``: the named
-    ``(buffer, manifest)`` packs the transport serves to remote
-    workers, the scenario metadata index, and the service-side GON
-    replicas mounted as zero-copy views over the very same buffers --
-    the weights exist once in the serving process.
+    Returns ``(asset_packs, asset_index)``: the named ``(buffer,
+    manifest)`` packs the transport serves to remote workers, and the
+    scenario metadata index.
     """
     packs: Dict[str, tuple] = {}
     index: Dict[str, Dict[str, int]] = {}
-    models: Dict[str, GONDiscriminator] = {}
     for scenario, assets in shared_assets.items():
-        weight_buffer, weight_manifest = pack_state(assets.gon_state)
-        packs[f"{scenario}/weights"] = (weight_buffer, weight_manifest)
+        packs[f"{scenario}/weights"] = pack_state(assets.gon_state)
         packs[f"{scenario}/trace"] = pack_state(_trace_arrays(assets))
-        index[scenario] = {
-            "gon_hidden": assets.gon_hidden,
-            "gon_layers": assets.gon_layers,
-            "seed": assets.seed,
-            "gan_seed": assets.gan_seed,
-        }
-        models[scenario] = _mount_gon(
-            unpack_state(weight_buffer, weight_manifest),
-            assets.gon_hidden,
-            assets.gon_layers,
-            assets.seed,
-        )
-    return packs, index, models
+        index[scenario] = _asset_meta(assets)
+    return packs, index
 
 
 def _start_chaos(
@@ -603,7 +464,7 @@ def _start_worker_watchdog(
 
 
 class _ElasticCollector:
-    """Drains worker records on a thread *while* the scoring loop runs.
+    """Drains worker records on a thread *while* the lease loop runs.
 
     Historically collection happened after ``serve_transport``
     returned, which was fine when records only had to reach the
@@ -723,11 +584,20 @@ def run_fleet_campaign(
     chaos: Optional[Callable[[FleetChaosHandle], None]] = None,
     record_sink: Optional[Callable[[RunRecord], None]] = None,
 ) -> List[RunRecord]:
-    """Execute ``tasks`` with an elastic fleet against one scoring service.
+    """Execute ``tasks`` with an elastic fleet against one lease service.
 
     ``shared_assets`` maps scenario name -> offline assets (from
     :func:`~repro.experiments.campaign.prepare_campaign_assets`).
-    ``stats_sink``, when given, receives the scorer's
+    ``config.transport`` selects the plumbing: ``"queue"`` publishes
+    the assets into shared memory and serves ``multiprocessing``
+    queues; ``"tcp"`` binds an ephemeral localhost port that serves the
+    assets and the lease loop over sockets (late joiners welcome,
+    reader EOFs become lease revocations) -- or, with
+    ``config.service_addr``, spawns only workers that connect to an
+    externally hosted service (``python -m repro serve``), which then
+    owns the lease accounting and assets.
+
+    ``stats_sink``, when given, receives the service's
     :class:`ServiceStats` for telemetry/benchmarks (empty when the
     service is remote -- its stats live in the serving process).
     ``telemetry_sink``, when given, receives one merged registry
@@ -737,8 +607,7 @@ def run_fleet_campaign(
     ``record_sink``, when given, receives each first-seen record the
     moment it arrives from a worker -- ``run_campaign`` passes its
     store persist hook here, which is what makes a SIGKILLed fleet
-    campaign resumable.  ``config.transport`` selects queue or TCP
-    plumbing; ``chaos`` (tests only) receives a
+    campaign resumable.  ``chaos`` (tests only) receives a
     :class:`FleetChaosHandle` on a daemon thread once the fleet is
     running.
     """
@@ -747,174 +616,44 @@ def run_fleet_campaign(
         if telemetry_sink is not None:
             telemetry_sink.append(merge_snapshots())
         return []
-    if getattr(config, "transport", "queue") == "tcp":
-        return _run_tcp_fleet_campaign(
-            config, tasks, shared_assets, stats_sink, telemetry_sink, chaos,
-            record_sink,
-        )
     base = _telemetry.snapshot()
     ctx = multiprocessing.get_context()
     n_workers = max(1, min(config.workers, len(tasks)))
     retry_budget = int(getattr(config, "cell_retry_budget", 3))
     heartbeat_timeout = float(getattr(config, "heartbeat_timeout", 30.0))
     interval = _heartbeat_interval(heartbeat_timeout)
-    coordinator = CellCoordinator(
-        [task.run_index for task in tasks], retry_budget=retry_budget
-    )
+    tcp = getattr(config, "transport", "queue") == "tcp"
+    auth_token = str(getattr(config, "auth_token", "") or "")
+    address = str(getattr(config, "service_addr", "") or "")
+    coordinator: Optional[CellCoordinator] = None
+    if not address:
+        coordinator = CellCoordinator(
+            [task.run_index for task in tasks], retry_budget=retry_budget
+        )
 
     packs: List[SharedArrayPack] = []
     handles: Dict[str, _ScenarioHandles] = {}
-    models: Dict[str, GONDiscriminator] = {}
+    transport = None
+    service: Optional[GONScoringService] = None
     workers: List = []
     watchdog_stop: Optional[threading.Event] = None
     try:
-        for scenario, assets in shared_assets.items():
-            weight_pack, trace_pack, scenario_handles = _publish_assets(assets)
-            packs.extend((weight_pack, trace_pack))
-            handles[scenario] = scenario_handles
-            # The service replica reads the same shared segment: the
-            # weights exist once on the machine, scorer included.
-            models[scenario] = _mount_gon(
-                weight_pack.arrays, assets.gon_hidden, assets.gon_layers,
-                assets.seed,
-            )
-
-        transport = QueueTransport(n_workers, ctx=ctx)
-        results_queue = ctx.Queue()
-        workers.extend(
-            ctx.Process(
-                target=_fleet_worker_main,
-                args=(
-                    i, tasks, handles,
-                    *transport.worker_endpoints(i), results_queue, interval,
-                ),
-                daemon=True,
-            )
-            for i in range(n_workers)
-        )
-        for worker in workers:
-            worker.start()
-
-        service = GONScoringService(
-            models,
-            transport.request_queue,
-            transport.reply_queues,
-            merge_requests=bool(getattr(config, "fleet_merge", False)),
-            scorer_backend=getattr(config, "scorer_backend", "exact"),
-            coordinator=coordinator,
-            heartbeat_timeout=heartbeat_timeout,
-        )
-        watchdog_stop = _start_worker_watchdog(
-            workers, transport.request_queue, service
-        )
-        _start_chaos(
-            chaos,
-            FleetChaosHandle(
-                workers=workers,
-                coordinator=coordinator,
-                service=service,
-                transport=transport,
-            ),
-        )
-
-        def abort() -> bool:
-            if coordinator.finished:
-                return False
-            if any(worker.is_alive() for worker in list(workers)):
-                return False
-            raise RuntimeError(
-                "fleet campaign stalled: every worker exited (a worker "
-                "crashed -- check stderr above) with cells "
-                f"{sorted(set(coordinator.lease_view()))} leased and "
-                f"{coordinator.status()['pending']} still queued"
-            )
-
-        collector = _ElasticCollector(
-            results_queue,
-            {task.run_index for task in tasks},
-            workers,
-            on_record=record_sink,
-        )
-        stats = serve_transport(service, transport, abort=abort)
-        if stats_sink is not None:
-            stats_sink.append(stats)
-
-        records, poisoned, worker_snapshots = collector.result()
-        poisoned |= set(coordinator.poisoned)
-        _warn_poisoned(poisoned, retry_budget)
-        if telemetry_sink is not None:
-            # The parent delta carries the service-side registry
-            # (service.*, gon.*, fleet.*); each worker delta carries
-            # its sim/campaign/carol side.
-            telemetry_sink.append(
-                merge_snapshots(_telemetry.delta(base), *worker_snapshots)
-            )
-        for worker in workers:
-            worker.join(timeout=_COLLECT_TIMEOUT)
-        return sorted(records.values(), key=lambda record: record.run_index)
-    finally:
-        if watchdog_stop is not None:
-            watchdog_stop.set()
-        # On failure paths (stalled fleet, lost records) the survivors
-        # are still blocked on their reply queues: tear them down so a
-        # long-lived host process never accumulates stuck children.
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=5.0)
-        for pack in packs:
-            pack.close()
-            pack.unlink()
-
-
-def _run_tcp_fleet_campaign(
-    config,
-    tasks: Sequence[RunTask],
-    shared_assets: Dict[str, TrainedAssets],
-    stats_sink: Optional[List[ServiceStats]] = None,
-    telemetry_sink: Optional[List[dict]] = None,
-    chaos: Optional[Callable[[FleetChaosHandle], None]] = None,
-    record_sink: Optional[Callable[[RunRecord], None]] = None,
-) -> List[RunRecord]:
-    """Fleet execution over sockets: self-hosted or external service.
-
-    Without ``config.service_addr`` the parent binds an ephemeral
-    localhost port, serves the scoring loop itself (elastic: late
-    joiners welcome, reader EOFs become lease revocations) and spawns
-    local workers that connect to it.  With ``service_addr`` the
-    workers connect to an externally hosted service
-    (``python -m repro serve``) and fetch assets from it -- this
-    process never trains or publishes anything, and lease accounting
-    lives entirely in the serving process.
-    """
-    base = _telemetry.snapshot()
-    ctx = multiprocessing.get_context()
-    n_workers = max(1, min(config.workers, len(tasks)))
-    retry_budget = int(getattr(config, "cell_retry_budget", 3))
-    heartbeat_timeout = float(getattr(config, "heartbeat_timeout", 30.0))
-    interval = _heartbeat_interval(heartbeat_timeout)
-    auth_token = str(getattr(config, "auth_token", "") or "")
-    service_addr = str(getattr(config, "service_addr", "") or "")
-
-    transport: Optional[TcpTransport] = None
-    coordinator: Optional[CellCoordinator] = None
-    service: Optional[GONScoringService] = None
-    workers: List = []
-    try:
-        if service_addr:
-            address = service_addr
-            models: Dict[str, GONDiscriminator] = {}
-        else:
-            coordinator = CellCoordinator(
-                [task.run_index for task in tasks], retry_budget=retry_budget
-            )
-            asset_packs, asset_index, models = _pack_campaign_assets(shared_assets)
+        if not tcp:
+            for scenario, assets in shared_assets.items():
+                weights = SharedArrayPack(assets.gon_state)
+                trace = SharedArrayPack(_trace_arrays(assets))
+                packs.extend((weights, trace))
+                handles[scenario] = _ScenarioHandles(
+                    weights.handle, trace.handle, _asset_meta(assets)
+                )
+            transport = QueueTransport(n_workers, ctx=ctx)
+        elif not address:
+            asset_packs, asset_index = _pack_campaign_assets(shared_assets)
             transport = TcpTransport(
                 n_workers,
                 asset_packs=asset_packs,
                 asset_index=asset_index,
                 auth_token=auth_token,
-                elastic=True,
             )
             transport.start()
             address = transport.address
@@ -923,14 +662,19 @@ def _run_tcp_fleet_campaign(
         worker_ids = _count()
 
         def spawn_worker():
-            worker = ctx.Process(
-                target=_tcp_fleet_worker_main,
-                args=(
-                    next(worker_ids), tasks, address, results_queue,
-                    interval, auth_token,
-                ),
-                daemon=True,
-            )
+            worker_id = next(worker_ids)
+            if tcp:
+                target, args = _tcp_fleet_worker_main, (
+                    worker_id, tasks, address, results_queue, interval,
+                    auth_token,
+                )
+            else:
+                target, args = _fleet_worker_main, (
+                    worker_id, tasks, handles,
+                    *transport.worker_endpoints(worker_id), results_queue,
+                    interval,
+                )
+            worker = ctx.Process(target=target, args=args, daemon=True)
             worker.start()
             workers.append(worker)
             return worker
@@ -938,17 +682,19 @@ def _run_tcp_fleet_campaign(
         for _ in range(n_workers):
             spawn_worker()
 
-        if transport is not None:
+        if coordinator is not None:
             service = GONScoringService(
-                models,
                 transport.request_queue,
                 transport.reply_queues,
-                merge_requests=bool(getattr(config, "fleet_merge", False)),
-                scorer_backend=getattr(config, "scorer_backend", "exact"),
-                coordinator=coordinator,
+                coordinator,
                 heartbeat_timeout=heartbeat_timeout,
             )
-            service.on_worker_lost = transport.close_client
+            if tcp:
+                service.on_worker_lost = transport.close_client
+            else:
+                watchdog_stop = _start_worker_watchdog(
+                    workers, transport.request_queue, service
+                )
 
         _start_chaos(
             chaos,
@@ -957,8 +703,8 @@ def _run_tcp_fleet_campaign(
                 coordinator=coordinator,
                 service=service,
                 transport=transport,
-                address=address,
-                spawn_worker=spawn_worker,
+                address=address or None,
+                spawn_worker=spawn_worker if tcp else None,
             ),
         )
 
@@ -991,6 +737,9 @@ def _run_tcp_fleet_campaign(
             poisoned |= set(coordinator.poisoned)
         _warn_poisoned(poisoned, retry_budget)
         if telemetry_sink is not None:
+            # The parent delta carries the service-side registry
+            # (service.*, fleet.*); each worker delta carries its
+            # sim/campaign/carol/gon side.
             telemetry_sink.append(
                 merge_snapshots(_telemetry.delta(base), *worker_snapshots)
             )
@@ -998,29 +747,36 @@ def _run_tcp_fleet_campaign(
             worker.join(timeout=_COLLECT_TIMEOUT)
         return sorted(records.values(), key=lambda record: record.run_index)
     finally:
+        if watchdog_stop is not None:
+            watchdog_stop.set()
+        # On failure paths (stalled fleet, lost records) the survivors
+        # are still blocked on their reply queues: tear them down so a
+        # long-lived host process never accumulates stuck children.
         for worker in workers:
             if worker.is_alive():
                 worker.terminate()
                 worker.join(timeout=5.0)
         if transport is not None:
             transport.close()
+        for pack in packs:
+            pack.close()
+            pack.unlink()
 
 
 def _status_provider(
     service: GONScoringService,
     transport: TcpTransport,
     n_clients: int,
-    coordinator: Optional[CellCoordinator] = None,
-    chaos_control: Optional[ChaosControl] = None,
+    chaos_control: ChaosControl,
 ) -> Callable[[], dict]:
     """Build the ``/status`` JSON assembler for a hosted service.
 
     Pure observation: merges the service-process registry with the
     latest STATS frame from every worker, derives the cell progress
     view from the merged ``campaign.cells_*`` counters, reports
-    connection/sign-off/loss state, and (elastic services) surfaces
-    the coordinator's lease/requeue/poison accounting plus the chaos
-    injection log under ``"fleet"``.  Safe to call from the status
+    connection/sign-off/loss state, and surfaces the coordinator's
+    lease/requeue/poison accounting plus the chaos injection log under
+    ``"fleet"``.  Safe to call from the status
     server's threads mid-``serve()``.
     """
 
@@ -1044,19 +800,16 @@ def _status_provider(
             "service": asdict(service.stats),
             "telemetry": merged,
         }
-        if coordinator is not None:
-            fleet = coordinator.status()
-            fleet["workers_lost"] = len(service.lost)
-            fleet["heartbeat_ages"] = {
-                str(client_id): round(age, 3)
-                for client_id, age in sorted(service.heartbeat_ages().items())
-            }
-            fleet["replies_dropped"] = service.replies_dropped
-            fleet["auth_rejections"] = getattr(transport, "auth_rejections", 0)
-            fleet["injections"] = (
-                chaos_control.log() if chaos_control is not None else []
-            )
-            status["fleet"] = fleet
+        fleet = service.coordinator.status()
+        fleet["workers_lost"] = len(service.lost)
+        fleet["heartbeat_ages"] = {
+            str(client_id): round(age, 3)
+            for client_id, age in sorted(service.heartbeat_ages().items())
+        }
+        fleet["replies_dropped"] = service.replies_dropped
+        fleet["auth_rejections"] = transport.auth_rejections
+        fleet["injections"] = chaos_control.log()
+        status["fleet"] = fleet
         return status
 
     return provider
@@ -1075,12 +828,12 @@ def serve_fleet_service(
     telemetry_sink: Optional[List[dict]] = None,
     auth_token: str = "",
 ) -> ServiceStats:
-    """Host one elastic scoring service for remote campaign workers.
+    """Host one elastic lease service for remote campaign workers.
 
     The backbone of ``python -m repro serve``: plans ``config``'s grid
     into a lease queue, publishes ``shared_assets`` on an elastic
     :class:`TcpTransport`, calls ``on_ready`` with the bound
-    ``(host, port)``, then scores until the grid is drained and every
+    ``(host, port)``, then leases until the grid is drained and every
     connected worker has signed off or been declared lost.
     ``n_clients`` is the *expected* fleet size for the status view --
     workers may come and go freely (``--min-workers``), and the
@@ -1091,14 +844,14 @@ def serve_fleet_service(
     computing).
 
     ``status_port`` (0 = ephemeral) additionally binds an HTTP
-    :class:`~repro.serving.StatusServer` next to the scoring socket
+    :class:`~repro.serving.StatusServer` next to the service socket
     serving ``/status`` + ``/metrics`` from the live merged telemetry
     and the ``POST /inject`` chaos control plane
     (:class:`~repro.serving.ChaosControl`); ``None`` (the default)
     serves no HTTP.  ``auth_token`` (or ``config.auth_token``) gates
     handshakes: a ``Hello`` with the wrong token is rejected before
     ``Welcome``.  ``telemetry_sink``, when given, receives the final
-    merged snapshot after the scoring loop winds down.
+    merged snapshot after the lease loop winds down.
 
     With ``config.store == "sqlite"`` the service resumes: cells whose
     records the store already holds are born completed in the lease
@@ -1138,7 +891,7 @@ def serve_fleet_service(
         completed=completed,
     )
     auth_token = auth_token or str(getattr(config, "auth_token", "") or "")
-    asset_packs, asset_index, models = _pack_campaign_assets(shared_assets)
+    asset_packs, asset_index = _pack_campaign_assets(shared_assets)
     transport = TcpTransport(
         n_clients,
         host=host,
@@ -1146,27 +899,21 @@ def serve_fleet_service(
         asset_packs=asset_packs,
         asset_index=asset_index,
         auth_token=auth_token,
-        elastic=True,
     )
     transport.start()
     status_server: Optional[StatusServer] = None
     try:
         service = GONScoringService(
-            models,
             transport.request_queue,
             transport.reply_queues,
-            merge_requests=bool(getattr(config, "fleet_merge", False)),
-            scorer_backend=getattr(config, "scorer_backend", "exact"),
-            coordinator=coordinator,
+            coordinator,
             heartbeat_timeout=float(getattr(config, "heartbeat_timeout", 30.0)),
         )
         service.on_worker_lost = transport.close_client
-        chaos_control = ChaosControl(service, coordinator, transport)
+        chaos_control = ChaosControl(service, transport)
         if status_port is not None:
             status_server = StatusServer(
-                _status_provider(
-                    service, transport, n_clients, coordinator, chaos_control
-                ),
+                _status_provider(service, transport, n_clients, chaos_control),
                 host=status_host,
                 port=status_port,
                 inject_handler=chaos_control.inject,
@@ -1185,7 +932,7 @@ def serve_fleet_service(
                 idle = time.monotonic() - transport.last_activity
                 if idle > idle_timeout:
                     raise TransportError(
-                        f"scoring service idle for {idle:.0f}s "
+                        f"fleet service idle for {idle:.0f}s "
                         f"({transport.n_connected} of {n_clients} workers "
                         "connected); shutting down"
                     )

@@ -102,11 +102,9 @@ class Module:
         """Load parameters in place; shapes must match exactly.
 
         ``copy=False`` adopts the incoming arrays directly (zero-copy)
-        when dtype and shape already match -- the path used to mount
-        read-only shared-memory weight views published by
-        :mod:`repro.serving.shared` without duplicating them per
-        process.  Such parameters cannot be trained until replaced with
-        writable copies (see ``FleetScorer`` copy-on-write).
+        when dtype and shape already match, e.g. read-only views over a
+        published weight buffer.  Such parameters cannot be trained
+        until replaced with writable copies.
         """
         own = dict(self.named_parameters())
         missing = set(own) - set(state)

@@ -1,69 +1,30 @@
-"""``repro.serving`` -- fleet-scale GON scoring infrastructure.
+"""``repro.serving`` -- fleet campaign infrastructure.
 
-Turns a campaign from "N processes x 1 surrogate each" into "N
-lightweight simulation workers feeding one batched GON scorer", the
-consolidation that sharing one inference stream across federations
-buys (ROADMAP: batched campaign-level inference + shared-memory
-fleets).  The request path::
+Turns a campaign from "N processes x private copies of everything"
+into "N lightweight simulation workers over assets published once,
+pulling cells from one lease service".  Each worker scores its own
+GON ascents in-process, exactly as a process-pool worker does::
 
         ┌────────────────────────── parent process ─────────────────────────┐
         │  SharedArrayPack: GON weights + trace stacks, published once      │
-        │  GONScoringService: drain -> bucket by (model, n) -> one          │
-        │      generate_metrics_batch / forward_batch per bucket -> reply   │
+        │  GONScoringService: lease cells, settle CellDone, merge STATS     │
         └──────────▲──────────────────────────────┬─────────────────────────┘
           requests │ (one mp.Queue)               │ replies (one queue per worker)
-        ┌──────────┴───────────┐      ┌───────────▼──────────┐
-        │ worker k: simulation │      │ FleetScorer: ascents │
-        │ + CAROL decision loop│ ───> │ remote @ generation 0,│
-        │ (zero-copy weights)  │      │ local after fine-tune │
-        └──────────────────────┘      └──────────────────────┘
+        ┌──────────┴──────────────────────────────▼─────────────────────────┐
+        │ worker k: mounts the published assets, runs each leased cell      │
+        │ through campaign._execute_run (LocalScorer, the pool's factory)   │
+        └───────────────────────────────────────────────────────────────────┘
 
 * :mod:`repro.serving.shared` -- one-copy asset publication over
   ``multiprocessing.shared_memory`` with read-only zero-copy views;
-* :mod:`repro.serving.service` -- the micro-batching scorer loop, the
-  worker-side :class:`ScoringClient`, and :class:`FleetScorer`, the
-  ``repro.core.scoring.SurrogateScorer`` backend CAROL mounts in
-  fleet campaigns (see :mod:`repro.experiments.fleet`).
+* :mod:`repro.serving.service` -- the lease loop and its frames;
+* :mod:`repro.serving.coordinator` -- the lease queue itself.
 
 The invariants this docstring states in protocol terms -- bit-identity
-across transports, the overlay/generation rules, the lease/poison
-lifecycle, and the cell-id/config-hash scheme that lets a
-:mod:`repro.storage` store pre-complete the coordinator on resume --
-are collected with their soundness arguments in
-``docs/architecture.md``.
-
-The overlay protocol
---------------------
-CAROL fine-tunes its GON whenever the POT confidence gate opens, and a
-fine-tuned replica no longer matches the fleet's published weights.
-Instead of ejecting such runs to slow worker-local scoring, the
-:class:`FleetScorer` ships its packed post-fine-tune state
-(``nn/serialization.pack_state``) to the service as an
-:class:`OverlayUpdate`; the service installs it as a *copy-on-write
-per-client weight overlay* and keeps answering that client's ascents
-from the consolidated batched stream.  Three invariants make this
-safe and exact:
-
-1. **Ordering** -- overlay installs and scoring requests share one
-   FIFO request queue and clients are synchronous, so an install
-   always lands before the first request at its generation and no
-   request can observe a stale replica.
-2. **Isolation** -- bucket keys extend with ``(generation, owner)``:
-   generation-0 requests from any client still share (and may merge
-   into) the base bucket, while generation > 0 buckets are private to
-   the owning client -- two clients at different generations, or two
-   diverged clients at the same generation, never share a bucket.
-3. **Bit-identity** -- ``pack_state``/``unpack_state`` roundtrips are
-   bit-exact and the service runs the same ``generate_metrics_batch``
-   on identical stack shapes, so overlay-scored fleet records remain
-   bit-identical to serial execution even after fine-tuning; the
-   contract `tests/test_fleet.py::TestOverlayLifecycle` asserts.
-
-Overlays are evicted when their owning client signs off
-(:class:`ClientDone`).  ``FleetScorer(..., overlays=False)`` restores
-the pre-overlay behaviour (local scoring after divergence); that path
-counts every degraded ascent in ``diagnostics["local_fallbacks"]``
-instead of silently leaving the stream.
+across transports, the lease/poison lifecycle, and the
+cell-id/config-hash scheme that lets a :mod:`repro.storage` store
+pre-complete the coordinator on resume -- are collected with their
+soundness arguments in ``docs/architecture.md``.
 
 Transports and the wire format
 ------------------------------
@@ -73,7 +34,7 @@ endpoints.  :mod:`repro.serving.transports` provides two bundles of
 those endpoints:
 
 * :class:`QueueTransport` -- ``multiprocessing`` queues, the
-  single-machine path, bit-for-bit the pre-transport behaviour;
+  single-machine path;
 * :class:`TcpTransport` / :class:`TcpWorkerChannel` -- sockets, so one
   service can host workers from many machines
   (``python -m repro serve`` + ``python -m repro campaign --connect``).
@@ -85,43 +46,39 @@ length-prefixed binary framing::
              | header(JSON scalars + array manifest)
              | body(pack_state buffer: raw array bytes)
 
-and it carries exactly the queue transport's dataclasses
-(:class:`AscentRequest`, :class:`ConfidenceRequest`,
-:class:`OverlayUpdate`, :class:`ClientDone`, the replies) plus a
-handshake (HELLO/WELCOME assigns client ids in accept order) and an
-asset channel (remote workers fetch each scenario's packed weights and
-trace stacks once, cached per process, instead of mapping
-``multiprocessing.shared_memory`` -- see
+and it carries exactly the queue transport's dataclasses (the lease
+frames, :class:`StatsUpdate`, :class:`ClientDone`) plus a handshake
+(HELLO/WELCOME assigns client ids in accept order and refuses other
+protocol versions loudly) and an asset channel (remote workers fetch
+each scenario's packed weights and trace stacks once, cached per
+process, instead of mapping ``multiprocessing.shared_memory`` -- see
 :func:`~repro.serving.shared.fetch_array_pack`).
 
-Transport guarantees, in the same spirit as the overlay invariants:
+Transport guarantees:
 
 1. **Ordering** -- each client's socket is read by one dedicated
    reader thread feeding the service's single FIFO, so a client's
-   messages enter the queue in send order and install-before-score
-   survives the network hop.  Cross-client interleaving is unordered
-   and harmless: generation > 0 buckets are private per client.
-2. **Bit-identity** -- float64 payloads cross the wire as raw packed
+   messages enter the queue in send order.
+2. **Bit-identity** -- float64 assets cross the wire as raw packed
    bytes (no text round-trip), so a TCP fleet campaign on localhost
-   produces records bit-identical to serial execution, overlays
-   included (asserted by ``tests/test_fleet.py::TestTcpFleetCampaign``).
-3. **Loud failure, no hangs** -- malformed or truncated frames,
-   clients disconnecting before :class:`ClientDone`, unknown asset
-   packs and stale-generation requests all raise
-   :class:`~repro.serving.transports.TransportError` out of
-   ``serve()``; :func:`~repro.serving.transports.serve_transport`
-   broadcasts the failure to every connected client before re-raising,
-   so blocked workers raise instead of waiting forever.  Frame sizes
-   are bounded, so a corrupt length prefix cannot trigger unbounded
-   allocation.
+   produces records bit-identical to serial execution (asserted by
+   ``tests/test_fleet.py::TestTcpFleetCampaign``).
+3. **Loud failure, no hangs** -- a client sending malformed or
+   truncated frames, spoofing another id, asking for an unknown asset
+   pack or vanishing before :class:`ClientDone` is dropped and its
+   leases revoked; whatever kills the service loop itself is
+   broadcast by :func:`~repro.serving.transports.serve_transport` to
+   every connected client before re-raising, so blocked workers raise
+   instead of waiting forever.  Frame sizes are bounded, so a corrupt
+   length prefix cannot trigger unbounded allocation.
 
 The elastic fleet protocol
 --------------------------
-Fleet campaigns are no longer pre-sharded batch jobs: the service side
-holds the whole ``(scenario, model, seed)`` grid as a lease-based cell
-queue (:class:`CellCoordinator`) and workers *pull* work::
+Fleet campaigns are not pre-sharded batch jobs: the service side holds
+the whole ``(scenario, model, seed)`` grid as a lease-based cell queue
+(:class:`CellCoordinator`) and workers *pull* work::
 
-    worker                        service (coordinator attached)
+    worker                        service
     ──────                        ──────────────────────────────
     LeaseRequest(request_id) ──>  lease next queued cell
                              <──  LeaseGrant(cell_id, attempt)
@@ -151,9 +108,9 @@ makes the elasticity below safe:
    results from zombie workers (a revoked lease finishing anyway) are
    deduplicated first-wins (``fleet.duplicate_completions`` service
    side, ``fleet.duplicate_records`` at collection).
-3. **Elastic membership** -- an elastic :class:`TcpTransport` keeps
-   accepting after the expected count (HELLO/WELCOME assigns ids in
-   accept order), so late workers join a running campaign and start
+3. **Elastic membership** -- a :class:`TcpTransport` keeps accepting
+   after the expected count (HELLO/WELCOME assigns ids in accept
+   order), so late workers join a running campaign and start
    leasing immediately; the campaign ends when the queue is drained
    and every registered worker has signed off or been declared lost.
 4. **Authentication** -- ``serve --auth-token`` (or
@@ -164,19 +121,15 @@ makes the elasticity below safe:
 5. **Chaos control plane** -- ``POST /inject`` on the status server
    (:class:`ChaosControl`) perturbs a live fleet (``kill_worker``,
    ``delay_client``, ``drop_next_reply``, ``requeue_cell``) through
-   exactly the code paths organic faults take; injections land in the
-   ``fleet.*`` counters and the ``/status`` ``fleet`` section.
-
-The legacy fixed-roster semantics (loud ``TransportError`` on any
-disconnect before ClientDone) are fully preserved when no coordinator
-is attached -- ``QueueTransport`` campaigns and roster-mode
-``TcpTransport`` tests keep their pre-elastic contracts.
+   exactly the code paths organic faults take (delays and drops act on
+   :class:`LeaseGrant` replies); injections land in the ``fleet.*``
+   counters and the ``/status`` ``fleet`` section.
 
 Telemetry: STATS frames and the status endpoint
 -----------------------------------------------
 Every layer of this subsystem is instrumented against the process-wide
-:mod:`repro.telemetry` registry (``service.*`` batching counters and
-spans, ``wire.*`` frame/byte counters, ``client.round_trip`` latency).
+:mod:`repro.telemetry` registry (``fleet.*`` lease and liveness
+counters, ``service.stats_updates``, ``wire.*`` frame/byte counters).
 Three pieces tie the distributed picture together:
 
 * **STATS frames** -- after each completed cell a fleet worker ships a
@@ -192,60 +145,30 @@ Three pieces tie the distributed picture together:
   lock-protected, so the merge is safe mid-``serve()``.
 * **status endpoint** -- ``python -m repro serve --status-port N``
   binds :class:`StatusServer` (stdlib ``http.server``, daemon thread,
-  read-only) next to the scoring socket.  ``GET /status`` answers one
+  read-only) next to the service socket.  ``GET /status`` answers one
   JSON object: connected/expected/signed-off workers, cells
   started/completed/in-flight (derived from the merged
-  ``campaign.cells_*`` counters), the legacy :class:`ServiceStats`
+  ``campaign.cells_*`` counters), the :class:`ServiceStats`
   view, and the full merged telemetry.  ``GET /metrics`` renders the
   same snapshot in the Prometheus text exposition format
   (``# HELP``/``# TYPE`` metadata, ``le``-labelled histogram buckets)
-  for stock scrape jobs; ``GET /metrics?format=flat`` keeps the legacy
-  ``name value`` lines.
+  for stock scrape jobs.
 
 Telemetry is strictly observational: snapshots never feed back into
-scoring, wall-clock only ever appears in telemetry (never in record
+a cell, wall-clock only ever appears in telemetry (never in record
 rows), and disabling it (``REPRO_TELEMETRY=0``) changes no record --
 the bit-identity contract is asserted with telemetry on and off.
-
-Scorer backends on the service
-------------------------------
-The service accepts ``scorer_backend=`` (``"exact"`` | ``"fast"`` |
-``"fast32"``, same contract as :mod:`repro.core.scoring`): ``"exact"``
-keeps the autodiff oracle and the historical batching behaviour
-bit-for-bit; the fast backends answer each ascent request with one
-graph-free fused-kernel call (:mod:`repro.core.fastscore`) over the
-request's own stack -- identical batch shapes to the exact policy, so
-the backend parity tiers carry over to the service unchanged.  With
-``merge_requests`` on, the kernel goes further than the exact merged
-policy: same-width ascent requests fuse into one call *across*
-gamma/max_steps buckets, since the kernel -- unlike the Tensor-graph
-oracle -- takes per-element ascent parameters.  Cross-request fusing
-concatenates stacks (a ~1-ulp BLAS effect), which is exactly the
-bitwise waiver ``merge_requests`` already opts into.  Fused elements
-are counted in ``ServiceStats.fused_elements`` and the
-``service.fused_elements`` telemetry counter.  Kernels are cached per
-``(model, generation-bucket)`` and invalidated exactly where overlays
-are installed or evicted, so a fine-tuned client never scores against
-stale fused weights.  The service also adapts its micro-batch flush
-window to the observed request inter-arrival EWMA (clamped to
-``[window/20, window]``), surfaced as ``ServiceStats.window_seconds``
-and the ``service.window_seconds`` gauge.
 """
 
 from .chaos import ChaosControl
 from .coordinator import CellCoordinator
 from .service import (
-    AscentRequest,
     CellDone,
     ClientDone,
-    ConfidenceRequest,
-    FleetScorer,
     GONScoringService,
     LeaseGrant,
     LeaseRequest,
-    OverlayUpdate,
     Ping,
-    ScoringClient,
     ServiceStats,
     StatsUpdate,
     WorkerLost,
@@ -268,19 +191,14 @@ from .transports import (
 )
 
 __all__ = [
-    "AscentRequest",
     "CellCoordinator",
     "CellDone",
     "ChaosControl",
     "ClientDone",
-    "ConfidenceRequest",
-    "FleetScorer",
     "GONScoringService",
     "LeaseGrant",
     "LeaseRequest",
-    "OverlayUpdate",
     "Ping",
-    "ScoringClient",
     "ServiceStats",
     "StatsUpdate",
     "StatusServer",

@@ -11,9 +11,9 @@ fleet is built to absorb:
   leased cells are revoked and re-queued.  Without an explicit
   ``client_id`` the currently lease-holding worker is targeted (the
   interesting victim -- killing an idle worker proves nothing).
-* ``delay_client`` -- add ``seconds`` of latency to every reply sent
-  to a client (``seconds: 0`` clears it).
-* ``drop_next_reply`` -- silently swallow the client's next reply
+* ``delay_client`` -- add ``seconds`` of latency to every lease grant
+  sent to a client (``seconds: 0`` clears it).
+* ``drop_next_reply`` -- silently swallow the client's next lease grant
   (with a client-side ``read_timeout`` this exercises the full
   timeout -> death -> re-queue path).
 * ``requeue_cell`` -- revoke a leased cell without blaming the worker,
@@ -45,9 +45,9 @@ ACTIONS = ("kill_worker", "delay_client", "drop_next_reply", "requeue_cell")
 class ChaosControl:
     """Dispatch ``/inject`` actions against a running fleet."""
 
-    def __init__(self, service, coordinator, transport=None) -> None:
+    def __init__(self, service, transport=None) -> None:
         self.service = service
-        self.coordinator = coordinator
+        self.coordinator = service.coordinator
         self.transport = transport
         self._lock = threading.Lock()
         self.injections: List[dict] = []
@@ -76,7 +76,7 @@ class ChaosControl:
     def _target_client(self, params: dict) -> int:
         if "client_id" in params:
             return int(params["client_id"])
-        leased = self.coordinator.leased_workers() if self.coordinator else []
+        leased = self.coordinator.leased_workers()
         if not leased:
             raise ValueError(
                 "no client_id given and no worker currently holds a lease"
@@ -107,12 +107,10 @@ class ChaosControl:
         if "cell_id" in params:
             cell_id = int(params["cell_id"])
         else:
-            leases = sorted(self.coordinator.lease_view()) if self.coordinator else []
+            leases = sorted(self.coordinator.lease_view())
             if not leases:
                 raise ValueError("no cell_id given and no cell is leased")
             cell_id = leases[0]
-        if self.coordinator is None:
-            raise ValueError("requeue_cell needs a coordinator")
         if not self.coordinator.requeue_cell(cell_id):
             raise ValueError(f"cell {cell_id} is not currently leased")
         return {"cell_id": cell_id}

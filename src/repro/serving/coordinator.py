@@ -35,7 +35,7 @@ State machine per cell::
   lease without blaming the worker (no failure charged) and put the
   cell back in the queue.
 
-All operations are thread-safe: the scoring service calls in from its
+All operations are thread-safe: the lease service calls in from its
 serve loop while ``/status`` and ``POST /inject`` read and perturb
 from the HTTP thread.
 """

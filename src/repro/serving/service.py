@@ -1,61 +1,23 @@
-"""The fleet scoring service: queue -> bucket -> batched GON ascent.
+"""The fleet lease service: cells out, acknowledgements and telemetry in.
 
-Many lightweight simulation workers feed one scorer::
+Fleet workers score their own GON ascents in-process (the same model
+factory the process pool uses), so the service never touches a model.
+What it serves is the campaign's control plane::
 
     worker 0 ──┐                              ┌─> reply queue 0
     worker 1 ──┤   requests    ┌───────────┐  ├─> reply queue 1
-       ...     ├─────────────> │  scorer   │──┤      ...
+       ...     ├─────────────> │  service  │──┤      ...
     worker N ──┘  (one queue)  │  loop     │  └─> reply queue N
                                └───────────┘
-                 drain up to a micro-batch window,
-                 bucket by (model, n_hosts, gamma, steps),
-                 one generate_metrics_batch / forward_batch
-                 per bucket, replies routed by client id
+                 LeaseRequest -> LeaseGrant (CellCoordinator),
+                 CellDone settles the lease, StatsUpdate feeds the
+                 merged /status view, Ping proves liveness
 
-Each request carries a whole candidate stack (a tabu neighbourhood's
-cache misses); the scorer drains the request queue for a short
-micro-batching window (bounded by ``max_batch_elements`` so latency
-stays bounded), groups compatible requests into buckets and answers
-every bucket with batched GON evaluations on the single resident model
-replica -- the weights live once in shared memory instead of once per
-worker.
-
-Replies are keyed by ``(client, request)``; within a request, results
-are positional in the submitted stack.  Two execution policies:
-
-* ``merge_requests=False`` (default): each request's stack runs as its
-  own vectorized ascent.  Stack shapes are then *identical* to what an
-  in-process scorer would run, which keeps fleet campaign records
-  bit-identical to serial execution (BLAS gemm results vary in the
-  last ulp with the leading dimension, so merging cannot be bitwise).
-* ``merge_requests=True``: all stacks in a bucket concatenate into one
-  ascent -- maximum consolidation, scores equal to the exact path
-  within ~1e-15 (see ``benchmarks/bench_surrogate.py``); decisions are
-  score-argmins, so campaign results almost always still coincide,
-  but the bitwise guarantee is waived.
-
-Per-client weight overlays
---------------------------
-A client whose replica fine-tunes past generation 0 no longer matches
-the published weights, but it does not have to leave the consolidated
-stream: it ships its full packed state (``nn/serialization.pack_state``)
-as an :class:`OverlayUpdate`, and the service installs a *copy-on-write
-overlay* -- a private replica mounted over the shipped buffer, resident
-next to the generation-0 base model.  Requests carry the client's
-``generation``; the bucket key extends with ``(generation, owner)`` so
-
-* generation-0 requests from any client keep sharing the base bucket
-  (and may merge under ``merge_requests``);
-* two clients at *different* generations never share a bucket;
-* overlay weights are private per client, so generation > 0 buckets
-  are additionally keyed by the owning client -- only requests from
-  the same diverged client may merge with each other.
-
-Queue FIFO ordering makes the protocol race-free: a client installs
-its overlay (one fire-and-forget message) before submitting any
-generation-N request, and the service applies messages in arrival
-order, so an ascent can never observe a stale replica.  Overlays are
-evicted when their client signs off (:class:`ClientDone`).
+The loop is elastic: membership is open, a client whose frames stop
+for ``heartbeat_timeout`` (or whose transport reports it gone) is
+declared lost and its leases are re-queued, and the loop ends once the
+coordinator's queue is drained and every client ever seen has signed
+off or been declared lost.
 """
 
 from __future__ import annotations
@@ -64,24 +26,13 @@ import queue as queue_module
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from .. import telemetry as _telemetry
-from ..core.features import GONInput
-from ..core.gon import GONDiscriminator
-from ..core.scoring import validate_backend
-from ..core.surrogate import SurrogateResult, generate_metrics_batch
-from ..core.training import TrainingConfig, fine_tune
-from ..nn.serialization import pack_state, unpack_state
-from ..telemetry import SIZE_EDGES, MetricsRegistry, merge_snapshots
+from ..telemetry import merge_snapshots
 
 __all__ = [
-    "AscentRequest",
-    "ConfidenceRequest",
-    "OverlayUpdate",
     "ClientDone",
     "StatsUpdate",
     "LeaseRequest",
@@ -91,28 +42,9 @@ __all__ = [
     "WorkerLost",
     "ServiceStats",
     "GONScoringService",
-    "ScoringClient",
-    "FleetScorer",
 ]
 
-# Micro-batcher telemetry (process registry).  The classic
-# :class:`ServiceStats` dataclass remains the stable legacy view; the
-# registry mirrors it so the merged fleet snapshot (``/status``,
-# ``--record-json``) carries the same counters under ``service.*``.
-_DRAIN_SPAN = _telemetry.span("service.drain")
-_DISPATCH_SPAN = _telemetry.span("service.dispatch")
-_REQUESTS = _telemetry.counter("service.requests")
-_ELEMENTS = _telemetry.counter("service.elements")
-_BATCHES = _telemetry.counter("service.batches")
-_MERGED_ELEMENTS = _telemetry.counter("service.merged_elements")
-_OVERLAY_INSTALLS = _telemetry.counter("service.overlay_installs")
-_OVERLAY_EVICTIONS = _telemetry.counter("service.overlay_evictions")
-_OVERLAY_ELEMENTS = _telemetry.counter("service.overlay_elements")
 _STATS_UPDATES = _telemetry.counter("service.stats_updates")
-_BATCH_ELEMENTS = _telemetry.histogram("service.batch_elements", SIZE_EDGES)
-_BUCKET_OCCUPANCY = _telemetry.histogram("service.bucket_occupancy", SIZE_EDGES)
-_WINDOW_GAUGE = _telemetry.gauge("service.window_seconds")
-_FUSED_ELEMENTS = _telemetry.counter("service.fused_elements")
 
 # Elastic-fleet liveness telemetry (see the coordinator module for the
 # lease-queue counters ``fleet.leases`` / ``fleet.cells_requeued`` /
@@ -120,93 +52,6 @@ _FUSED_ELEMENTS = _telemetry.counter("service.fused_elements")
 _WORKERS_LOST = _telemetry.counter("fleet.workers_lost")
 _REPLIES_DROPPED = _telemetry.counter("fleet.replies_dropped")
 _HEARTBEAT_AGE = _telemetry.gauge("fleet.heartbeat_age_max_seconds")
-
-
-def _generation_bucket(client_id: int, generation: int) -> tuple:
-    """The bucket-key suffix isolating diverged clients.
-
-    Generation 0 is the shared published weight set: every client's
-    requests are compatible and the owner slot collapses to -1.  Past
-    generation 0 the weights are a per-client overlay, so the owning
-    client enters the key -- two clients at different generations (or
-    two diverged clients at the same generation) never share a bucket.
-    """
-    return (generation, client_id if generation else -1)
-
-
-@dataclass(frozen=True)
-class AscentRequest:
-    """One batched eq.-1 ascent over a ``[B, n, F]`` candidate stack."""
-
-    client_id: int
-    request_id: int
-    model_key: str
-    metrics: np.ndarray      # [B, n, n_m_features] warm starts
-    schedules: np.ndarray    # [B, n, n_s_features]
-    adjacencies: np.ndarray  # [B, n, n]
-    gamma: float
-    max_steps: int
-    #: The client replica's fine-tune generation; > 0 scores on that
-    #: client's installed weight overlay instead of the base model.
-    generation: int = 0
-
-    @property
-    def bucket(self) -> tuple:
-        return (
-            "ascent", self.model_key, self.metrics.shape[1],
-            self.gamma, self.max_steps,
-            *_generation_bucket(self.client_id, self.generation),
-        )
-
-    @property
-    def n_elements(self) -> int:
-        return int(self.metrics.shape[0])
-
-
-@dataclass(frozen=True)
-class ConfidenceRequest:
-    """Plain ``D(M, S, G)`` forward over a sample stack (no ascent)."""
-
-    client_id: int
-    request_id: int
-    model_key: str
-    metrics: np.ndarray
-    schedules: np.ndarray
-    adjacencies: np.ndarray
-    generation: int = 0
-
-    @property
-    def bucket(self) -> tuple:
-        return (
-            "confidence", self.model_key, self.metrics.shape[1],
-            *_generation_bucket(self.client_id, self.generation),
-        )
-
-    @property
-    def n_elements(self) -> int:
-        return int(self.metrics.shape[0])
-
-
-@dataclass(frozen=True)
-class OverlayUpdate:
-    """A diverged client shipping its packed fine-tuned state.
-
-    ``buffer``/``manifest`` come from ``nn/serialization.pack_state``
-    on the client's post-fine-tune state dict; the roundtrip is
-    bit-exact, which is what keeps overlay-scored fleet records
-    bit-identical to worker-local scoring.  Fire-and-forget: queue
-    FIFO ordering guarantees the install lands before any request at
-    this generation.
-    """
-
-    client_id: int
-    model_key: str
-    generation: int
-    buffer: np.ndarray
-    manifest: Tuple[Tuple[str, Tuple[int, ...], str, int], ...]
-
-    #: Overlay installs never consume micro-batch window budget.
-    n_elements: int = 0
 
 
 @dataclass(frozen=True)
@@ -226,13 +71,11 @@ class StatsUpdate:
     snapshot per client (snapshots are cumulative) and merges them with
     its own registry into the fleet-wide view behind ``/status`` --
     see :meth:`GONScoringService.merged_telemetry`.  Fire-and-forget,
-    never consumes micro-batch window budget, and carries no arrays.
+    and carries no arrays.
     """
 
     client_id: int
     snapshot: Dict[str, dict]
-
-    n_elements: int = 0
 
 
 @dataclass(frozen=True)
@@ -241,8 +84,6 @@ class LeaseRequest:
 
     client_id: int
     request_id: int
-
-    n_elements: int = 0
 
 
 @dataclass(frozen=True)
@@ -265,21 +106,17 @@ class LeaseGrant:
     drained: bool = False
     poisoned: Tuple[int, ...] = ()
 
-    n_elements: int = 0
-
 
 @dataclass(frozen=True)
 class CellDone:
     """Fire-and-forget: a worker reporting its leased cell finished.
 
     The record itself rides the campaign results queue (it never
-    touches the scoring wire); this frame only settles the lease.
+    touches the service wire); this frame only settles the lease.
     """
 
     client_id: int
     cell_id: int
-
-    n_elements: int = 0
 
 
 @dataclass(frozen=True)
@@ -294,8 +131,6 @@ class Ping:
 
     client_id: int
 
-    n_elements: int = 0
-
 
 @dataclass(frozen=True)
 class WorkerLost:
@@ -304,157 +139,78 @@ class WorkerLost:
     Enqueued by the transport layer (TCP reader threads on EOF, or the
     campaign parent's process watchdog for queue transports) -- never
     sent by workers and never crosses the wire.  The service revokes
-    the dead client's leases and evicts its overlays; the message is
-    idempotent and ignored for clients that already signed off.
+    the dead client's leases; the message is idempotent and ignored
+    for clients that already signed off.
     """
 
     client_id: int
     reason: str = ""
 
-    n_elements: int = 0
-
-
-@dataclass(frozen=True)
-class AscentReply:
-    request_id: int
-    metrics: np.ndarray      # [B, n, F] converged M* stack
-    confidences: np.ndarray  # [B]
-    n_steps: np.ndarray      # [B]
-    converged: np.ndarray    # [B] bool
-
-
-@dataclass(frozen=True)
-class ConfidenceReply:
-    request_id: int
-    confidences: np.ndarray
-
 
 @dataclass
 class ServiceStats:
-    """Scorer-side telemetry (read after :meth:`serve` returns)."""
+    """Service-side counters (read after :meth:`GONScoringService.serve`)."""
 
-    n_requests: int = 0
-    n_elements: int = 0
-    n_batches: int = 0
-    #: Elements that ran in a batch merged from >= 2 requests.
-    merged_elements: int = 0
-    #: Per-batch element counts (the consolidation histogram).
-    batch_sizes: List[int] = field(default_factory=list)
-    #: Per-client weight overlays installed (including re-installs when
-    #: a client fine-tunes again and replaces its previous overlay).
-    overlay_installs: int = 0
-    #: Overlays dropped because their owning client signed off.
-    overlay_evictions: int = 0
-    #: Stacked elements scored on an overlay replica (generation > 0).
-    overlay_elements: int = 0
-    #: Last micro-batch flush window the adaptive sizer chose (equals
-    #: the configured ``window_seconds`` when adaptation is off).
-    window_seconds: float = 0.0
-    #: Elements scored in cross-bucket fused ascents (fast backends
-    #: only: requests with different gamma/max_steps fused into one
-    #: kernel call via per-element hyper-parameter vectors).
-    fused_elements: int = 0
+    #: Leases granted with a cell (retries of a revoked cell included).
+    leases_granted: int = 0
+    #: ``CellDone`` acknowledgements received.
+    cells_completed: int = 0
+    #: ``StatsUpdate`` snapshots received.
+    stats_updates: int = 0
 
 
 class GONScoringService:
-    """Single-process scorer answering a fleet's GON evaluations.
+    """The lease loop of an elastic fleet campaign.
+
+    Hands out the :class:`~repro.serving.coordinator.CellCoordinator`'s
+    cells one :class:`LeaseGrant` at a time, settles leases on
+    :class:`CellDone`, keeps each worker's latest :class:`StatsUpdate`
+    for the merged ``/status`` view, and revokes the leases of workers
+    that die.  It scores nothing: workers run every GON ascent
+    in-process.  (The name predates that split and stays stable.)
 
     Parameters
     ----------
-    models:
-        ``model_key -> GONDiscriminator`` -- one resident replica per
-        published weight set (fleet campaigns use one per scenario).
     request_queue / reply_queues:
         Any queue objects with the stdlib ``get(timeout)/put`` surface
         (``multiprocessing.Queue`` across processes, ``queue.Queue``
-        in-process for tests).
-    window_seconds:
-        Micro-batching window ceiling: after the first request arrives,
-        how long to keep draining for batch-mates before scoring.  With
-        ``adaptive_window`` (default) the *actual* flush window is sized
-        from the observed request inter-arrival EWMA -- roughly four
-        arrival gaps, clamped to ``[window_seconds / 20,
-        window_seconds]`` -- so a chatty fleet flushes early instead of
-        idling out the full fixed window.
-    max_batch_elements:
-        Stop draining once this many stacked elements are pending
-        (keeps worst-case latency and peak memory bounded).
-    merge_requests:
-        Concatenate compatible stacks into one ascent per bucket (see
-        module docstring for the exactness trade-off).
-    scorer_backend:
-        Ascent engine, one of ``repro.core.scoring.BACKENDS``.  The
-        default ``"exact"`` keeps the autodiff oracle (bit-identical
-        records).  ``"fast"``/``"fast32"`` score ascents on the
-        graph-free :class:`repro.core.fastscore.FastGONKernel` (per
-        resident replica, re-exported when an overlay installs), one
-        kernel call per request -- same batch shapes as the exact
-        policy, so the backend's parity tier carries over unchanged.
-        Combined with ``merge_requests`` the kernel additionally fuses
-        same-shape ascent requests *across* gamma/max_steps buckets
-        into one call using per-element hyper-parameter vectors --
-        strictly more consolidation than the exact merged policy, under
-        the same last-ulp waiver (concatenation changes BLAS leading
-        dimensions).  Confidence requests always stay on the exact
-        model path.
+        in-process for tests, or a transport's endpoints).
+    coordinator:
+        The campaign's lease queue.
+    poll_seconds:
+        How long one ``get`` waits before liveness and ``abort`` are
+        checked.
+    heartbeat_timeout:
+        Seconds without any frame from a client before it is declared
+        dead and its leases are revoked; 0 disables the timeout
+        (EOF/watchdog notices still apply).
     """
 
     def __init__(
         self,
-        models: Dict[str, GONDiscriminator],
         request_queue,
         reply_queues: Dict[int, object],
-        window_seconds: float = 0.002,
-        max_batch_elements: int = 512,
-        merge_requests: bool = False,
+        coordinator,
         poll_seconds: float = 0.5,
-        scorer_backend: str = "exact",
-        adaptive_window: bool = True,
-        coordinator=None,
         heartbeat_timeout: float = 30.0,
     ) -> None:
-        self.models = models
         self.request_queue = request_queue
         self.reply_queues = reply_queues
-        self.window_seconds = window_seconds
-        self.max_batch_elements = max_batch_elements
-        self.merge_requests = merge_requests
+        self.coordinator = coordinator
         self.poll_seconds = poll_seconds
-        self.scorer_backend = validate_backend(scorer_backend)
-        self.adaptive_window = adaptive_window
-        #: EWMA of request inter-arrival seconds (adaptive window input).
-        self._interarrival_ewma: Optional[float] = None
-        self._last_arrival: Optional[float] = None
-        #: ``(model_key, generation, owner) -> FastGONKernel`` for the
-        #: fast backends; invalidated when an overlay (re)installs.
-        self._kernels: Dict[tuple, object] = {}
+        self.heartbeat_timeout = float(heartbeat_timeout)
         self.stats = ServiceStats()
-        self.stats.window_seconds = window_seconds
-        #: Copy-on-write per-client replicas installed by
-        #: :class:`OverlayUpdate`: ``(client_id, model_key) ->
-        #: (generation, replica)``.  Base models stay untouched.
-        self._overlays: Dict[Tuple[int, str], Tuple[int, GONDiscriminator]] = {}
         #: Latest :class:`StatsUpdate` snapshot per client, guarded for
         #: the status-endpoint thread (see :meth:`merged_telemetry`).
         self.worker_snapshots: Dict[int, dict] = {}
         self._stats_lock = threading.Lock()
         #: Clients that have signed off so far (live progress view).
         self.signed_off: set = set()
-        #: Elastic mode: the :class:`~repro.serving.coordinator.
-        #: CellCoordinator` holding the campaign's lease queue.  When
-        #: None (the default) the service runs the legacy roster loop:
-        #: serve until every pre-registered reply queue signs off, and
-        #: any reply failure is loud and fatal.
-        self.coordinator = coordinator
-        #: Elastic mode: seconds without any frame from a client before
-        #: it is declared dead and its leases are revoked; 0 disables
-        #: the timeout (EOF/watchdog notices still apply).
-        self.heartbeat_timeout = float(heartbeat_timeout)
         #: Clients declared dead (heartbeat timeout, EOF notice, or
         #: reply-delivery failure).  Their leases were revoked and
         #: their later messages are dropped.
         self.lost: set = set()
-        #: ``client_id -> monotonic`` of the last frame seen (elastic).
+        #: ``client_id -> monotonic`` of the last frame seen.
         self._last_seen: Dict[int, float] = {}
         #: Optional hook called with a client id when the service marks
         #: it lost -- fleets wire this to ``TcpTransport.close_client``
@@ -480,19 +236,13 @@ class GONScoringService:
 
     # ------------------------------------------------------------------
     def serve(self, abort: Optional[Callable[[], bool]] = None) -> ServiceStats:
-        """Score until the campaign is over.
+        """Lease until the campaign is over.
 
-        Legacy roster mode (``coordinator is None``): exit once every
-        pre-registered reply queue has signed off; any worker death is
-        loud and fatal.  Elastic mode (a
-        :class:`~repro.serving.coordinator.CellCoordinator` is
-        attached): exit once the cell queue is drained *and* every
-        client ever seen has either signed off or been declared lost --
-        membership is open, deaths revoke leases instead of aborting.
-
-        ``abort`` is polled while the queue is idle; returning True
-        raises (used to detect dead workers -- legacy -- or a fully
-        dead fleet -- elastic -- instead of hanging).
+        Exits once the cell queue is drained *and* every client ever
+        seen has either signed off or been declared lost -- membership
+        is open, deaths revoke leases instead of aborting.  ``abort``
+        is polled while the queue is idle; returning True raises (used
+        to detect a fully dead fleet instead of hanging).
         """
         while not self._serve_complete():
             try:
@@ -501,45 +251,58 @@ class GONScoringService:
                 self._check_liveness()
                 if abort is not None and abort():
                     raise RuntimeError(
-                        "scoring service aborted: worker died before "
+                        "lease service aborted: worker died before "
                         "signing off"
                     )
                 continue
-            self._observe_arrival()
-            pending = [message]
-            with _DRAIN_SPAN.time():
-                deadline = time.monotonic() + self._flush_window()
-                while self._pending_elements(pending) < self.max_batch_elements:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    try:
-                        pending.append(self.request_queue.get(timeout=remaining))
-                        self._observe_arrival()
-                    except queue_module.Empty:
-                        break
-            self.signed_off.update(self._dispatch(pending))
+            self._handle(message)
             self._check_liveness()
         return self.stats
 
     def _serve_complete(self) -> bool:
-        if self.coordinator is None:
-            return len(self.signed_off) >= len(self.reply_queues)
-        unresolved = (
-            set(self._last_seen) - self.signed_off - self.lost
-        )
+        unresolved = set(self._last_seen) - self.signed_off - self.lost
         return self.coordinator.finished and not unresolved
 
-    # ------------------------------------------------------------------
-    # Elastic liveness
-    # ------------------------------------------------------------------
-    def _note_alive(self, client_id: int) -> None:
+    def _handle(self, message) -> None:
+        """Apply one control message (arrival order is the contract)."""
+        if isinstance(message, WorkerLost):
+            self._mark_lost(message.client_id, message.reason)
+            return
+        client_id = message.client_id
+        if client_id in self.lost:
+            # Ghost traffic from a client already declared dead (its
+            # leases were revoked); dropping it keeps revoked-and-rerun
+            # cells single-sourced.
+            return
         self._last_seen[client_id] = time.monotonic()
+        if isinstance(message, ClientDone):
+            self.signed_off.add(client_id)
+            # Signing off while still holding a lease means the worker
+            # errored mid-cell and cleaned up on the way out -- treat
+            # the lease like a death so the cell is re-queued instead
+            # of deadlocking the drain.
+            self.coordinator.release_worker(client_id)
+        elif isinstance(message, LeaseRequest):
+            self._grant_lease(message)
+        elif isinstance(message, CellDone):
+            self.stats.cells_completed += 1
+            self.coordinator.complete(message.cell_id, client_id)
+        elif isinstance(message, StatsUpdate):
+            with self._stats_lock:
+                self.worker_snapshots[client_id] = message.snapshot
+            self.stats.stats_updates += 1
+            _STATS_UPDATES.inc()
+        elif not isinstance(message, Ping):
+            raise RuntimeError(
+                f"client {client_id} sent an unexpected "
+                f"{type(message).__name__}: fleet protocol violated"
+            )
 
+    # ------------------------------------------------------------------
+    # Liveness
+    # ------------------------------------------------------------------
     def _check_liveness(self) -> None:
         """Declare clients dead after ``heartbeat_timeout`` of silence."""
-        if self.coordinator is None:
-            return
         now = time.monotonic()
         max_age = 0.0
         for client_id, last in list(self._last_seen.items()):
@@ -563,7 +326,7 @@ class GONScoringService:
         }
 
     def _mark_lost(self, client_id: int, reason: str = "") -> None:
-        """Revoke a dead client's leases and evict its overlays.
+        """Revoke a dead client's leases.
 
         Idempotent, and a no-op for clients that already signed off
         (their work is settled; a late death notice carries no news).
@@ -572,15 +335,13 @@ class GONScoringService:
             return
         self.lost.add(client_id)
         _WORKERS_LOST.inc()
-        self._evict_overlays(client_id)
-        if self.coordinator is not None:
-            requeued, poisoned = self.coordinator.release_worker(client_id)
-            detail = f"worker {client_id} lost ({reason or 'unknown'})"
-            if requeued:
-                detail += f"; re-queued cells {requeued}"
-            if poisoned:
-                detail += f"; quarantined poisoned cells {poisoned}"
-            print(f"[repro.serving] {detail}", file=sys.stderr)
+        requeued, poisoned = self.coordinator.release_worker(client_id)
+        detail = f"worker {client_id} lost ({reason or 'unknown'})"
+        if requeued:
+            detail += f"; re-queued cells {requeued}"
+        if poisoned:
+            detail += f"; quarantined poisoned cells {poisoned}"
+        print(f"[repro.serving] {detail}", file=sys.stderr)
         if self.on_worker_lost is not None:
             try:
                 self.on_worker_lost(client_id)
@@ -601,237 +362,8 @@ class GONScoringService:
         """Silently drop the next reply addressed to ``client_id``."""
         self._drop_next_reply.add(int(client_id))
 
-    # -- adaptive micro-batch window -----------------------------------
-    #: EWMA smoothing for inter-arrival observations.
-    _EWMA_ALPHA = 0.2
-    #: The flush window covers roughly this many arrival gaps.
-    _WINDOW_GAIN = 4.0
-    #: Lower clamp as a fraction of the configured ceiling.
-    _WINDOW_FLOOR = 1.0 / 20.0
-
-    def _observe_arrival(self) -> None:
-        """Fold one request arrival into the inter-arrival EWMA.
-
-        Gaps are clamped to the configured window ceiling before
-        folding, so an idle stretch relaxes the window back toward the
-        ceiling instead of blowing the average up unboundedly.
-        """
-        now = time.monotonic()
-        if self._last_arrival is not None:
-            gap = min(now - self._last_arrival, self.window_seconds)
-            if self._interarrival_ewma is None:
-                self._interarrival_ewma = gap
-            else:
-                self._interarrival_ewma += self._EWMA_ALPHA * (
-                    gap - self._interarrival_ewma
-                )
-        self._last_arrival = now
-
-    def _flush_window(self) -> float:
-        """The flush window for this drain (EWMA-sized, clamped)."""
-        window = self.window_seconds
-        if self.adaptive_window and self._interarrival_ewma is not None:
-            window = min(
-                max(
-                    self._WINDOW_GAIN * self._interarrival_ewma,
-                    self.window_seconds * self._WINDOW_FLOOR,
-                ),
-                self.window_seconds,
-            )
-        self.stats.window_seconds = window
-        _WINDOW_GAUGE.set(window)
-        return window
-
-    @staticmethod
-    def _pending_elements(pending: Sequence) -> int:
-        return sum(getattr(m, "n_elements", 0) for m in pending)
-
     # ------------------------------------------------------------------
-    # Per-client weight overlays
-    # ------------------------------------------------------------------
-    def _install_overlay(self, update: OverlayUpdate) -> None:
-        """Mount a diverged client's shipped weights as a replica.
-
-        The replica's parameters are zero-copy views into the shipped
-        buffer (the service only scores, never trains, so read-only
-        views suffice); installing at a newer generation replaces the
-        client's previous overlay.
-        """
-        base = self.models[update.model_key]
-        replica = base.clone_architecture(np.random.default_rng(0))
-        replica.load_state_dict(
-            unpack_state(update.buffer, list(update.manifest)), copy=False
-        )
-        self._overlays[(update.client_id, update.model_key)] = (
-            update.generation, replica,
-        )
-        # Any fast kernel exported from this client's previous overlay
-        # is stale now; the next request re-exports from the replica.
-        for key in [
-            k for k in self._kernels
-            if k[0] == update.model_key and k[2] == update.client_id
-        ]:
-            del self._kernels[key]
-        self.stats.overlay_installs += 1
-        _OVERLAY_INSTALLS.inc()
-
-    def _evict_overlays(self, client_id: int) -> None:
-        """Drop every overlay owned by a disconnecting client."""
-        owned = [key for key in self._overlays if key[0] == client_id]
-        for key in owned:
-            del self._overlays[key]
-        for key in [k for k in self._kernels if k[2] == client_id]:
-            del self._kernels[key]
-        self.stats.overlay_evictions += len(owned)
-        _OVERLAY_EVICTIONS.add(len(owned))
-
-    def _resolve_model(self, request) -> GONDiscriminator:
-        """The replica a request scores on: base weights or overlay."""
-        generation = getattr(request, "generation", 0)
-        if generation == 0:
-            return self.models[request.model_key]
-        entry = self._overlays.get((request.client_id, request.model_key))
-        if entry is None or entry[0] != generation:
-            raise RuntimeError(
-                f"client {request.client_id} requested generation "
-                f"{generation} of {request.model_key!r} but the installed "
-                f"overlay is {entry[0] if entry else 'absent'}: overlay "
-                "protocol violated (updates must precede requests)"
-            )
-        self.stats.overlay_elements += request.n_elements
-        _OVERLAY_ELEMENTS.add(request.n_elements)
-        return entry[1]
-
-    def _kernel_for(self, request, model: GONDiscriminator):
-        """The cached fast kernel for a request's resolved replica."""
-        key = (
-            request.model_key,
-            *_generation_bucket(request.client_id, request.generation),
-        )
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            from ..core.fastscore import FastGONKernel
-
-            dtype = "float32" if self.scorer_backend == "fast32" else "float64"
-            kernel = FastGONKernel.from_model(model, dtype=dtype)
-            self._kernels[key] = kernel
-        return kernel
-
-    # ------------------------------------------------------------------
-    def _dispatch(self, pending: Sequence) -> set:
-        """Bucket the drained messages, score, reply; returns sign-offs.
-
-        Messages apply in arrival order, so an :class:`OverlayUpdate`
-        drained alongside its client's follow-up requests installs
-        before any bucket is scored.
-        """
-        signed_off: set = set()
-        buckets: "Dict[tuple, List]" = {}
-        for message in pending:
-            if isinstance(message, WorkerLost):
-                self._mark_lost(message.client_id, message.reason)
-                continue
-            client_id = getattr(message, "client_id", None)
-            if client_id is not None:
-                if client_id in self.lost:
-                    # Ghost traffic from a client already declared
-                    # dead (its leases were revoked); dropping it keeps
-                    # revoked-and-rerun cells single-sourced.
-                    continue
-                self._note_alive(client_id)
-            if isinstance(message, ClientDone):
-                signed_off.add(message.client_id)
-                self._evict_overlays(message.client_id)
-                if self.coordinator is not None:
-                    # Signing off while still holding a lease means the
-                    # worker errored mid-cell and cleaned up on the way
-                    # out -- treat the lease like a death so the cell
-                    # is re-queued instead of deadlocking the drain.
-                    self.coordinator.release_worker(message.client_id)
-                continue
-            if isinstance(message, LeaseRequest):
-                self._grant_lease(message)
-                continue
-            if isinstance(message, CellDone):
-                if self.coordinator is not None:
-                    self.coordinator.complete(
-                        message.cell_id, message.client_id
-                    )
-                continue
-            if isinstance(message, Ping):
-                continue
-            if isinstance(message, OverlayUpdate):
-                self._install_overlay(message)
-                continue
-            if isinstance(message, StatsUpdate):
-                with self._stats_lock:
-                    self.worker_snapshots[message.client_id] = message.snapshot
-                _STATS_UPDATES.inc()
-                continue
-            buckets.setdefault(message.bucket, []).append(message)
-            self.stats.n_requests += 1
-            self.stats.n_elements += message.n_elements
-            _REQUESTS.inc()
-            _ELEMENTS.add(message.n_elements)
-
-        with _DISPATCH_SPAN.time():
-            if self.scorer_backend != "exact" and self.merge_requests:
-                # Cross-request fusing concatenates stacks, and BLAS
-                # results vary in the last ulp with the leading
-                # dimension -- so fusing lives behind the same
-                # ``merge_requests`` knob that already waives the
-                # bitwise record guarantee for the exact policy.
-                buckets = self._fuse_ascent_buckets(buckets)
-            for bucket_key, requests in buckets.items():
-                kind = bucket_key[0]
-                _BUCKET_OCCUPANCY.observe(len(requests))
-                if kind == "fused":
-                    self._run_fused(requests)
-                elif self.merge_requests and len(requests) > 1:
-                    self._run_merged(kind, requests)
-                elif self.scorer_backend != "exact" and kind == "ascent":
-                    # Fast backend, no merging: one kernel call per
-                    # request keeps batch shapes identical to the
-                    # exact policy, so the bitwise tier holds.
-                    for request in requests:
-                        self._run_fused([request])
-                else:
-                    for request in requests:
-                        self._run_exact(kind, request)
-        return signed_off
-
-    def _fuse_ascent_buckets(self, buckets: "Dict[tuple, List]") -> "Dict[tuple, List]":
-        """Regroup ascent buckets for fast backends + ``merge_requests``.
-
-        The fast kernel takes per-element gamma/max_steps vectors, so
-        requests that differ *only* in those hyper-parameters can share
-        one fused ascent: the bucket key collapses from ``(model, n,
-        gamma, steps, generation, owner)`` to ``(model, n, generation,
-        owner)``.  Only called when ``merge_requests`` is on -- fusing
-        concatenates stacks, which moves scores by ~1 ulp (BLAS leading
-        dimension), the exact trade-off that knob opts into.  Confidence
-        buckets pass through untouched (they stay on the exact model
-        path).
-        """
-        fused: "Dict[tuple, List]" = {}
-        for bucket_key, requests in buckets.items():
-            if bucket_key[0] != "ascent":
-                fused.setdefault(bucket_key, []).extend(requests)
-                continue
-            request = requests[0]
-            key = (
-                "fused", request.model_key, request.metrics.shape[1],
-                *_generation_bucket(request.client_id, request.generation),
-            )
-            fused.setdefault(key, []).extend(requests)
-        return fused
-
     def _grant_lease(self, request: LeaseRequest) -> None:
-        if self.coordinator is None:
-            raise RuntimeError(
-                f"client {request.client_id} requested a cell lease but "
-                "this service has no coordinator (roster mode)"
-            )
         cell_id, attempt, drained = self.coordinator.lease(request.client_id)
         if drained:
             grant = LeaseGrant(
@@ -843,6 +375,7 @@ class GONScoringService:
         elif cell_id is None:
             grant = LeaseGrant(request_id=request.request_id, cell_id=-1)
         else:
+            self.stats.leases_granted += 1
             grant = LeaseGrant(
                 request_id=request.request_id,
                 cell_id=int(cell_id),
@@ -850,16 +383,12 @@ class GONScoringService:
             )
         self._send_reply(request.client_id, grant)
 
-    def _reply(self, request, reply) -> None:
-        self._send_reply(request.client_id, reply)
-
     def _send_reply(self, client_id: int, reply) -> None:
         """Deliver one reply, applying chaos injections.
 
-        In roster mode delivery failures propagate (loud failure, the
-        legacy contract).  In elastic mode a failed send means the
-        client is gone: it is marked lost (revoking its leases) and the
-        service keeps running for the rest of the fleet.
+        A failed send means the client is gone: it is marked lost
+        (revoking its leases) and the service keeps running for the
+        rest of the fleet.
         """
         if client_id in self._drop_next_reply:
             self._drop_next_reply.discard(client_id)
@@ -872,355 +401,4 @@ class GONScoringService:
         try:
             self.reply_queues[client_id].put(reply)
         except Exception as error:
-            if self.coordinator is None:
-                raise
             self._mark_lost(client_id, f"reply delivery failed: {error}")
-
-    # -- exact policy: one evaluation per request ----------------------
-    def _run_exact(self, kind: str, request) -> None:
-        self.stats.n_batches += 1
-        self.stats.batch_sizes.append(request.n_elements)
-        _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(request.n_elements)
-        model = self._resolve_model(request)
-        if kind == "ascent":
-            results = generate_metrics_batch(
-                model,
-                request.schedules,
-                request.adjacencies,
-                init_metrics=request.metrics,
-                gamma=request.gamma,
-                max_steps=request.max_steps,
-            )
-            self._reply(request, _ascent_reply(request.request_id, results))
-        else:
-            scores = model.forward_batch(
-                request.metrics, request.schedules, request.adjacencies
-            ).data.copy()
-            self._reply(
-                request, ConfidenceReply(request.request_id, scores)
-            )
-
-    # -- fast backends: one fused kernel ascent per shape group --------
-    def _run_fused(self, requests: List) -> None:
-        """Score a same-shape ascent group on the fast kernel.
-
-        Hyper-parameters ride as per-element vectors (``np.repeat``
-        over each request's stack), so one kernel call covers requests
-        that the exact policy would have scored bucket by bucket.
-        Replies chunk back out positionally, exactly like the merged
-        policy.
-        """
-        self.stats.n_batches += 1
-        model = self._resolve_model(requests[0])
-        for request in requests[1:]:
-            self.stats.overlay_elements += (
-                request.n_elements if request.generation else 0
-            )
-        kernel = self._kernel_for(requests[0], model)
-        counts = [request.n_elements for request in requests]
-        metrics = np.concatenate([r.metrics for r in requests])
-        schedules = np.concatenate([r.schedules for r in requests])
-        adjacencies = np.concatenate([r.adjacencies for r in requests])
-        gamma = np.repeat([r.gamma for r in requests], counts)
-        max_steps = np.repeat([r.max_steps for r in requests], counts)
-        total = int(metrics.shape[0])
-        self.stats.batch_sizes.append(total)
-        _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(total)
-        if len(requests) > 1:
-            self.stats.fused_elements += total
-            _FUSED_ELEMENTS.add(total)
-        results = kernel.ascent(
-            schedules,
-            adjacencies,
-            init_metrics=metrics,
-            gamma=gamma,
-            max_steps=max_steps,
-        )
-        start = 0
-        for request in requests:
-            chunk = results[start:start + request.n_elements]
-            start += request.n_elements
-            self._reply(request, _ascent_reply(request.request_id, chunk))
-
-    # -- merged policy: one evaluation per bucket ----------------------
-    def _run_merged(self, kind: str, requests: List) -> None:
-        # Bucket keys carry (generation, owner), so every request here
-        # resolves to the same replica -- merging across overlays is
-        # impossible by construction.
-        self.stats.n_batches += 1
-        model = self._resolve_model(requests[0])
-        for request in requests[1:]:
-            self.stats.overlay_elements += (
-                request.n_elements if request.generation else 0
-            )
-        metrics = np.concatenate([r.metrics for r in requests])
-        schedules = np.concatenate([r.schedules for r in requests])
-        adjacencies = np.concatenate([r.adjacencies for r in requests])
-        self.stats.batch_sizes.append(int(metrics.shape[0]))
-        self.stats.merged_elements += int(metrics.shape[0])
-        _BATCHES.inc()
-        _BATCH_ELEMENTS.observe(int(metrics.shape[0]))
-        _MERGED_ELEMENTS.add(int(metrics.shape[0]))
-        if kind == "ascent":
-            results = generate_metrics_batch(
-                model,
-                schedules,
-                adjacencies,
-                init_metrics=metrics,
-                gamma=requests[0].gamma,
-                max_steps=requests[0].max_steps,
-            )
-            start = 0
-            for request in requests:
-                chunk = results[start:start + request.n_elements]
-                start += request.n_elements
-                self._reply(request, _ascent_reply(request.request_id, chunk))
-        else:
-            scores = model.forward_batch(
-                metrics, schedules, adjacencies
-            ).data.copy()
-            start = 0
-            for request in requests:
-                chunk = scores[start:start + request.n_elements]
-                start += request.n_elements
-                self._reply(
-                    request, ConfidenceReply(request.request_id, chunk)
-                )
-
-
-def _ascent_reply(
-    request_id: int, results: Sequence[SurrogateResult]
-) -> AscentReply:
-    return AscentReply(
-        request_id=request_id,
-        metrics=np.stack([r.metrics for r in results]),
-        confidences=np.array([r.confidence for r in results]),
-        n_steps=np.array([r.n_steps for r in results], dtype=int),
-        converged=np.array([r.converged for r in results], dtype=bool),
-    )
-
-
-class ScoringClient:
-    """Worker-side stub: submit stacks, block for the keyed reply.
-
-    ``generation`` on the scoring calls names the weight set to score
-    on: 0 is the published base model, anything newer must first have
-    been shipped through :meth:`install_overlay` (fire-and-forget;
-    queue FIFO ordering makes install-before-score automatic).
-    """
-
-    def __init__(self, client_id: int, model_key: str,
-                 request_queue, reply_queue) -> None:
-        self.client_id = client_id
-        self.model_key = model_key
-        self.request_queue = request_queue
-        self.reply_queue = reply_queue
-        self._next_request = 0
-
-    _ROUND_TRIP_SPAN = _telemetry.span("client.round_trip")
-
-    def _round_trip(self, request):
-        # The span covers submit -> keyed reply: the worker-side view
-        # of service queue wait plus scoring time.
-        with self._ROUND_TRIP_SPAN.time():
-            self.request_queue.put(request)
-            reply = self.reply_queue.get()
-        if reply.request_id != request.request_id:  # pragma: no cover
-            raise RuntimeError(
-                f"reply {reply.request_id} for request "
-                f"{request.request_id}: client protocol violated"
-            )
-        return reply
-
-    def install_overlay(
-        self, state: Dict[str, np.ndarray], generation: int
-    ) -> None:
-        """Ship this client's fine-tuned state as a service overlay."""
-        buffer, manifest = pack_state(dict(state))
-        self.request_queue.put(OverlayUpdate(
-            client_id=self.client_id,
-            model_key=self.model_key,
-            generation=generation,
-            buffer=buffer,
-            manifest=tuple(manifest),
-        ))
-
-    def ascent(
-        self,
-        metrics: np.ndarray,
-        schedules: np.ndarray,
-        adjacencies: np.ndarray,
-        gamma: float,
-        max_steps: int,
-        generation: int = 0,
-    ) -> List[SurrogateResult]:
-        self._next_request += 1
-        reply = self._round_trip(AscentRequest(
-            client_id=self.client_id,
-            request_id=self._next_request,
-            model_key=self.model_key,
-            metrics=np.asarray(metrics, dtype=float),
-            schedules=np.asarray(schedules, dtype=float),
-            adjacencies=np.asarray(adjacencies, dtype=float),
-            gamma=gamma,
-            max_steps=max_steps,
-            generation=generation,
-        ))
-        return [
-            SurrogateResult(
-                metrics=reply.metrics[i],
-                confidence=float(reply.confidences[i]),
-                n_steps=int(reply.n_steps[i]),
-                converged=bool(reply.converged[i]),
-            )
-            for i in range(reply.metrics.shape[0])
-        ]
-
-    def confidences(
-        self,
-        metrics: np.ndarray,
-        schedules: np.ndarray,
-        adjacencies: np.ndarray,
-        generation: int = 0,
-    ) -> np.ndarray:
-        self._next_request += 1
-        reply = self._round_trip(ConfidenceRequest(
-            client_id=self.client_id,
-            request_id=self._next_request,
-            model_key=self.model_key,
-            metrics=np.asarray(metrics, dtype=float),
-            schedules=np.asarray(schedules, dtype=float),
-            adjacencies=np.asarray(adjacencies, dtype=float),
-            generation=generation,
-        ))
-        return reply.confidences
-
-    def close(self) -> None:
-        """Sign off; the service evicts this client's overlays and
-        exits once every client has."""
-        self.request_queue.put(ClientDone(self.client_id))
-
-
-class FleetScorer:
-    """CAROL scorer routing ascents to the shared scoring service.
-
-    Implements the :class:`repro.core.scoring.SurrogateScorer` surface:
-
-    * **ascent** -- forwarded to the service: at generation 0 it scores
-      on the published shared weights, and past the first fine-tune on
-      this client's installed overlay, so diverged replicas stay in
-      the consolidated batched stream;
-    * **confidence** -- computed locally on the replica (a single
-      forward; cheaper than a queue round-trip and bitwise-identical
-      to in-process execution);
-    * **fine_tune** -- copy-on-write divergence: the read-only shared
-      parameters are materialised into private writable arrays, the
-      fine-tune runs locally, and the new state ships to the service
-      as a weight overlay (``overlays=True``, the default).
-
-    With ``overlays=False`` (the pre-overlay behaviour) a diverged
-    replica falls back to worker-local scoring instead; every such
-    ascent increments ``diagnostics["local_fallbacks"]``, the counter
-    campaigns assert to be zero once overlays are on.
-
-    ``backend`` mirrors :class:`repro.core.scoring.LocalScorer`: it
-    selects the ascent engine for the *worker-local fallback* path
-    (the service's own backend is chosen service-side at construction).
-    """
-
-    def __init__(
-        self,
-        client: ScoringClient,
-        model: GONDiscriminator,
-        overlays: bool = True,
-        backend: str = "exact",
-    ) -> None:
-        self.client = client
-        self.model = model
-        self.overlays = overlays
-        self.backend = validate_backend(backend)
-        self._local: Optional[object] = None
-        self.generation = 0
-        #: Per-instance registry backing :attr:`diagnostics` (always
-        #: enabled -- these are deterministic record diagnostics, not
-        #: wall-clock telemetry), surfaced into campaign records by
-        #: ``experiments.campaign.run_cell``.
-        self.telemetry = MetricsRegistry()
-        self._fallbacks = self.telemetry.counter("scorer.local_fallbacks")
-        self._installs = self.telemetry.counter("scorer.overlay_installs")
-
-    @property
-    def diagnostics(self) -> Dict[str, int]:
-        """Legacy integer-counter view of :attr:`telemetry`."""
-        return {
-            "local_fallbacks": self._fallbacks.value,
-            "overlay_installs": self._installs.value,
-        }
-
-    def ascent(
-        self,
-        metrics: np.ndarray,
-        schedules: np.ndarray,
-        adjacencies: np.ndarray,
-        gamma: float,
-        max_steps: int,
-    ) -> List[SurrogateResult]:
-        if self.generation == 0 or self.overlays:
-            return self.client.ascent(
-                metrics, schedules, adjacencies, gamma, max_steps,
-                generation=self.generation,
-            )
-        # Pre-overlay degradation path: a diverged replica can only
-        # score on its private weights.  Counted, never silent.
-        self._fallbacks.inc()
-        return self._local_scorer().ascent(
-            metrics, schedules, adjacencies, gamma, max_steps
-        )
-
-    def _local_scorer(self):
-        """Lazy in-process scorer for the fallback path.
-
-        Shares :attr:`model` and tracks :attr:`generation`, so its
-        fast kernel (if ``backend`` selects one) re-exports after every
-        fine-tune.
-        """
-        from ..core.scoring import LocalScorer
-
-        if self._local is None:
-            self._local = LocalScorer(self.model, backend=self.backend)
-        self._local.generation = self.generation
-        return self._local
-
-    def confidence(self, sample: GONInput) -> float:
-        return self.model.score(sample)
-
-    def fine_tune(
-        self,
-        samples: Sequence[GONInput],
-        config: Optional[TrainingConfig],
-        iterations: int,
-        rng: np.random.Generator,
-    ) -> float:
-        if self.generation == 0:
-            # Copy-on-write: shared views are read-only by design.
-            for parameter in self.model.parameters():
-                parameter.data = np.array(parameter.data)
-        loss = fine_tune(
-            self.model,
-            list(samples),
-            config=config,
-            iterations=iterations,
-            rng=rng,
-        )
-        self.generation += 1
-        if self.overlays:
-            # Ship the diverged state before any further scoring call:
-            # FIFO queue order guarantees the service installs it ahead
-            # of this client's next generation-N request.
-            self.client.install_overlay(
-                self.model.state_dict(), self.generation
-            )
-            self._installs.inc()
-        return loss

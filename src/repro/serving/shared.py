@@ -75,8 +75,7 @@ class SharedArrayPack:
             nbytes=buffer.nbytes,
             manifest=tuple(manifest),
         )
-        #: Read-only views into the segment (usable by the owner too,
-        #: e.g. the scoring service mounts its model from these).
+        #: Read-only views into the segment (usable by the owner too).
         self.arrays: Dict[str, np.ndarray] = unpack_state(
             self._shm.buf, list(manifest)
         )

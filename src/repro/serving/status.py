@@ -1,22 +1,21 @@
-"""Live HTTP status endpoint for the fleet scoring service.
+"""Live HTTP status endpoint for the fleet lease service.
 
-A stdlib :mod:`http.server` bound next to the scoring socket
+A stdlib :mod:`http.server` bound next to the service socket
 (``python -m repro serve --status-port N``) exposing two routes:
 
 ``/status``
     One JSON object assembled by the provider callback at request
     time -- connected/expected/signed-off workers, cells completed and
     in flight (derived from the merged ``campaign.cells_*`` counters
-    the STATS frames ship), the legacy :class:`~repro.serving.ServiceStats`
+    the STATS frames ship), the :class:`~repro.serving.ServiceStats`
     view, and the full merged telemetry snapshot.
 
 ``/metrics``
     The merged snapshot in Prometheus text exposition format
     (:func:`repro.telemetry.render_prometheus_text`): ``# HELP`` /
     ``# TYPE`` metadata and ``le``-labelled histogram buckets, so a
-    stock Prometheus scrape job ingests it directly.  The legacy flat
-    ``name value`` lines remain available as ``/metrics?format=flat``
-    (:func:`repro.telemetry.render_metrics_text`).
+    stock Prometheus scrape job ingests it directly.  Any other
+    ``?format`` is refused with 400.
 
 ``POST /inject``
     The chaos control plane (elastic fleets only): a JSON body like
@@ -44,7 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from ..telemetry import render_metrics_text, render_prometheus_text
+from ..telemetry import render_prometheus_text
 
 __all__ = ["StatusServer"]
 
@@ -65,16 +64,10 @@ class _StatusHandler(BaseHTTPRequestHandler):
             elif path == "/metrics":
                 status = self.server.provider()
                 snap = status.get("telemetry", {})
-                fmt = query.get("format", ["prometheus"])[0]
-                if fmt == "flat":
-                    payload = render_metrics_text(snap).encode("utf-8")
-                elif fmt == "prometheus":
-                    payload = render_prometheus_text(snap).encode("utf-8")
-                else:
-                    self.send_error(
-                        400, "unknown ?format (try prometheus or flat)"
-                    )
+                if query.get("format", ["prometheus"])[0] != "prometheus":
+                    self.send_error(400, "unknown ?format (only prometheus)")
                     return
+                payload = render_prometheus_text(snap).encode("utf-8")
                 content_type = "text/plain; charset=utf-8"
             else:
                 self.send_error(404, "unknown route (try /status or /metrics)")

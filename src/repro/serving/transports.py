@@ -13,16 +13,16 @@ endpoints plus the worker-side counterparts:
   that decodes length-prefixed frames (:mod:`repro.serving.wire`) and
   feeds them into the service's single FIFO request queue.  A client's
   socket is read sequentially, so its messages enter the FIFO in send
-  order and the overlay protocol's install-before-score guarantee
-  survives the network hop; cross-client interleaving is harmless
-  because generation > 0 buckets are private per client.
+  order (a ``CellDone`` always lands before the next ``LeaseRequest``).
 
-Failure semantics are deliberately loud.  A malformed or truncated
-frame, a client vanishing before :class:`ClientDone`, or a reply to a
-dead socket all surface as :class:`TransportError` out of
-``service.serve`` -- never a hang.  :func:`serve_transport` broadcasts
-the failure to every connected client before re-raising, so remote
-workers blocked on a reply fail loudly too.
+Failure semantics are deliberately loud, and never a hang.  A client
+that sends a malformed or truncated frame or one only the service
+sends, spoofs another id, or vanishes before :class:`ClientDone` is
+dropped: its socket closes and a
+:class:`~repro.serving.service.WorkerLost` notice revokes its leases.
+Whatever kills the service loop itself is broadcast by
+:func:`serve_transport` to every connected client before re-raising,
+so remote workers blocked on a reply fail loudly too.
 
 The TCP transport doubles as the asset channel: publish
 ``pack_state``-packed buffers via ``asset_packs`` and remote workers
@@ -44,7 +44,14 @@ import numpy as np
 
 from .. import telemetry as _telemetry
 from . import wire
-from .service import ClientDone, Ping, WorkerLost
+from .service import (
+    CellDone,
+    ClientDone,
+    LeaseRequest,
+    Ping,
+    StatsUpdate,
+    WorkerLost,
+)
 from .wire import (
     AssetIndex,
     AssetIndexRequest,
@@ -68,6 +75,11 @@ __all__ = [
 class TransportError(RuntimeError):
     """A fleet transport failure (always loud, never a hang)."""
 
+
+#: The frames a client may send once welcomed (asset fetches aside);
+#: anything else -- a server-side reply, a second Hello -- is a
+#: protocol violation that drops the client.
+_CLIENT_FRAMES = (LeaseRequest, CellDone, StatsUpdate, Ping, ClientDone)
 
 _AUTH_REJECTIONS = _telemetry.counter("fleet.auth_rejections")
 _HANDSHAKE_REJECTIONS = _telemetry.counter("fleet.handshake_rejections")
@@ -122,10 +134,10 @@ class _Fault:
 class _FaultableQueue:
     """A FIFO whose readers can be failed loudly from another thread.
 
-    Reader threads enqueue decoded messages with :meth:`put`; on a
-    protocol error they enqueue the exception with :meth:`fail`, and
-    the next service-side :meth:`get` raises it -- turning any client
-    misbehaviour into a loud ``serve()`` failure instead of a hang.
+    Reader threads enqueue decoded messages with :meth:`put`; a failed
+    accept loop enqueues its exception with :meth:`fail`, and the next
+    service-side :meth:`get` raises it -- a dead listener becomes a
+    loud ``serve()`` failure instead of a hang.
     """
 
     def __init__(self) -> None:
@@ -165,26 +177,22 @@ class TcpTransport:
     from ``pack_state``; ``asset_index`` is the scenario metadata
     served to :class:`wire.AssetIndexRequest`.
 
-    Membership comes in two flavours:
-
-    * **roster** (``elastic=False``, the legacy default): accept
-      exactly ``n_clients`` connections, then stop listening; any
-      client death or protocol violation is fatal to the service.
-    * **elastic** (``elastic=True``): keep accepting for the lifetime
-      of the transport -- late workers join a running campaign and get
-      the next id in accept order; ``n_clients`` is only the initially
-      expected head-count (status display).  A client that disconnects
-      before signing off, spoofs another id, or sends a malformed
-      frame is *dropped* -- its socket is closed and a
-      :class:`~repro.serving.service.WorkerLost` notice is enqueued so
-      the service can revoke its leases -- instead of killing the
-      whole fleet.
+    Membership is elastic: the transport keeps accepting for its whole
+    lifetime, so late workers join a running campaign and get the next
+    id in accept order; ``n_clients`` is only the initially expected
+    head-count (status display).  A client that disconnects before
+    signing off, spoofs another id, or sends a malformed frame or one
+    only the service sends is *dropped* -- its socket is closed and a
+    :class:`~repro.serving.service.WorkerLost` notice is enqueued so
+    the service can revoke its leases -- instead of killing the whole
+    fleet.
 
     ``auth_token`` is the pre-shared fleet secret: a HELLO carrying a
     different token is answered with a :class:`wire.ServiceError` and
     closed *before* WELCOME, without consuming a client id and without
     disturbing the rest of the fleet (counted in
-    ``fleet.auth_rejections``).
+    ``fleet.auth_rejections``).  A HELLO speaking another wire protocol
+    version is refused the same way.
     """
 
     def __init__(
@@ -195,10 +203,8 @@ class TcpTransport:
         asset_packs: Optional[Dict[str, Tuple[np.ndarray, list]]] = None,
         asset_index: Optional[Dict[str, Dict[str, int]]] = None,
         auth_token: str = "",
-        elastic: bool = False,
     ) -> None:
         self.n_clients = n_clients
-        self.elastic = bool(elastic)
         self._auth_token = str(auth_token)
         self._asset_packs = dict(asset_packs or {})
         self._asset_index = {
@@ -207,9 +213,8 @@ class TcpTransport:
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self.request_queue = _FaultableQueue()
-        self.reply_queues: Dict[int, _TcpReplyWriter] = {
-            i: _TcpReplyWriter(self, i) for i in range(n_clients)
-        }
+        #: Per-client reply endpoints, added as clients are welcomed.
+        self.reply_queues: Dict[int, _TcpReplyWriter] = {}
         self._sockets: Dict[int, socket.socket] = {}
         self._send_locks: Dict[int, threading.Lock] = {}
         self._threads: list = []
@@ -242,8 +247,6 @@ class TcpTransport:
         client_id = 0
         try:
             while not self._closed.is_set():
-                if not self.elastic and client_id >= self.n_clients:
-                    return
                 try:
                     conn, _addr = self._listener.accept()
                 except OSError:
@@ -253,18 +256,14 @@ class TcpTransport:
                 try:
                     accepted = self._handshake(conn, client_id)
                 except Exception:
-                    if self.elastic:
-                        # One garbage connection must not take down a
-                        # long-running fleet; reject it and keep
-                        # accepting.  Roster mode keeps the legacy
-                        # loud-failure contract below.
-                        _HANDSHAKE_REJECTIONS.inc()
-                        try:
-                            conn.close()
-                        except OSError:
-                            pass
-                        continue
-                    raise
+                    # One garbage connection must not take down a
+                    # long-running fleet; reject it and keep accepting.
+                    _HANDSHAKE_REJECTIONS.inc()
+                    try:
+                        conn.close()
+                    except OSError:
+                        pass
+                    continue
                 if accepted:
                     client_id += 1
         except Exception as error:
@@ -279,9 +278,9 @@ class TcpTransport:
         """Run HELLO/WELCOME on one accepted connection.
 
         Returns True when the connection became client ``client_id``;
-        False when it was rejected (bad auth token) without consuming
-        the id.  Malformed handshakes raise (the accept loop decides
-        whether that is fatal).
+        False when it was refused (another wire protocol version, or a
+        bad auth token) without consuming the id.  Malformed handshakes
+        raise; the accept loop rejects them and keeps accepting.
         """
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         hello = wire.recv_message(conn)
@@ -290,33 +289,27 @@ class TcpTransport:
                 f"connection {client_id} opened with "
                 f"{type(hello).__name__} instead of Hello"
             )
+        # Loud refusals BEFORE Welcome: the client gets a ServiceError
+        # naming the problem and the connection closes without a
+        # client id.  Never fatal to the fleet.
         if hello.protocol != wire.PROTOCOL_VERSION:
-            raise TransportError(
+            _HANDSHAKE_REJECTIONS.inc()
+            self._refuse(conn, (
                 f"client speaks wire protocol {hello.protocol}, "
                 f"service speaks {wire.PROTOCOL_VERSION}"
-            )
+            ))
+            return False
         if hello.token != self._auth_token:
-            # Loud rejection BEFORE Welcome: the client gets a
-            # ServiceError naming the problem and the connection
-            # closes without a client id.  Never fatal to the fleet.
             self.auth_rejections += 1
             _AUTH_REJECTIONS.inc()
-            try:
-                wire.send_message(conn, ServiceError(
-                    message="authentication failed: fleet auth token "
-                    "mismatch (serve --auth-token / REPRO_FLEET_TOKEN)"
-                ))
-            except wire.WireError:
-                pass
-            finally:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+            self._refuse(conn, (
+                "authentication failed: fleet auth token "
+                "mismatch (serve --auth-token / REPRO_FLEET_TOKEN)"
+            ))
             return False
         self._send_locks[client_id] = threading.Lock()
         self._sockets[client_id] = conn
-        self.reply_queues.setdefault(client_id, _TcpReplyWriter(self, client_id))
+        self.reply_queues[client_id] = _TcpReplyWriter(self, client_id)
         self.last_activity = time.monotonic()
         wire.send_message(conn, Welcome(client_id=client_id))
         reader = threading.Thread(
@@ -328,6 +321,19 @@ class TcpTransport:
         self._threads.append(reader)
         reader.start()
         return True
+
+    @staticmethod
+    def _refuse(conn: socket.socket, message: str) -> None:
+        """Answer a handshake with a ServiceError, then close it."""
+        try:
+            wire.send_message(conn, ServiceError(message=message))
+        except wire.WireError:
+            pass
+        finally:
+            try:
+                conn.close()
+            except OSError:
+                pass
 
     def _reader_loop(self, client_id: int, conn: socket.socket) -> None:
         try:
@@ -361,11 +367,15 @@ class TcpTransport:
                         ),
                     )
                     continue
-                owner = getattr(message, "client_id", client_id)
-                if owner != client_id:
+                if not isinstance(message, _CLIENT_FRAMES):
+                    raise TransportError(
+                        f"client {client_id} sent a {type(message).__name__}, "
+                        "which clients may not send"
+                    )
+                if message.client_id != client_id:
                     raise TransportError(
                         f"client {client_id} sent a {type(message).__name__} "
-                        f"claiming client id {owner}"
+                        f"claiming client id {message.client_id}"
                     )
                 self.request_queue.put(message)
                 if isinstance(message, ClientDone):
@@ -381,18 +391,14 @@ class TcpTransport:
             )
 
     def _reader_failed(self, client_id: int, error: TransportError) -> None:
-        """A client's reader died: fatal (roster) or a lost worker.
+        """A client's reader died: report it as a lost worker.
 
-        Roster mode keeps the legacy contract -- the fault propagates
-        out of ``serve()``.  Elastic mode converts any single-client
-        failure (EOF before sign-off, spoofed id, malformed frame)
-        into a :class:`WorkerLost` notice: the service revokes the
-        dead client's leases and the campaign keeps running.
+        Any single-client failure (EOF before sign-off, spoofed id,
+        malformed frame) becomes a :class:`WorkerLost` notice: the
+        service revokes the dead client's leases and the campaign keeps
+        running.
         """
         if self._closed.is_set():
-            return
-        if not self.elastic:
-            self.request_queue.fail(error)
             return
         self.close_client(client_id)
         self.request_queue.put(WorkerLost(client_id, reason=str(error)))
@@ -417,8 +423,8 @@ class TcpTransport:
 
         Used by the chaos control plane (``kill_worker``) and by the
         service when it declares a client dead: the reader thread wakes
-        with an EOF/OSError and, in elastic mode, enqueues the
-        :class:`WorkerLost` notice.
+        with an EOF/OSError and enqueues the :class:`WorkerLost`
+        notice.
         """
         conn = self._sockets.pop(client_id, None)
         if conn is None:
@@ -460,9 +466,8 @@ class TcpTransport:
 class TcpWorkerChannel:
     """Worker endpoint: one socket, queue-compatible ``put``/``get``.
 
-    Slots directly into :class:`repro.serving.ScoringClient` as both
-    its request and reply queue -- requests are framed onto the socket,
-    replies are read back off it.  The client id is assigned by the
+    Serves a fleet worker as both its request and reply queue --
+    requests are framed onto the socket, replies are read back off it.  The client id is assigned by the
     service during the HELLO/WELCOME handshake (:attr:`client_id`).
     Connection attempts retry until ``connect_timeout`` so workers may
     start before the service finishes binding; each attempt's socket
@@ -501,13 +506,12 @@ class TcpWorkerChannel:
             except OSError as error:
                 if time.monotonic() >= deadline:
                     raise TransportError(
-                        f"could not reach the scoring service at {address} "
+                        f"could not reach the fleet service at {address} "
                         f"within {connect_timeout:.0f}s: {error}"
                     ) from None
                 time.sleep(retry_interval)
         # Keep the timeout through the handshake: a connection sitting
-        # unaccepted in the listen backlog (e.g. more workers than a
-        # roster-mode service expects) must fail loudly here rather
+        # unaccepted in the listen backlog must fail loudly here rather
         # than block on the Welcome forever.
         self._sock.settimeout(connect_timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -534,23 +538,23 @@ class TcpWorkerChannel:
             message = wire.recv_message(self._sock)
         except socket.timeout:
             raise TransportError(
-                f"no frame from the scoring service at {self.address} "
+                f"no frame from the fleet service at {self.address} "
                 f"within the {self.read_timeout:.1f}s read timeout"
             ) from None
         except wire.ConnectionClosed:
             raise TransportError(
-                f"scoring service at {self.address} closed the connection "
+                f"fleet service at {self.address} closed the connection "
                 "(it likely aborted; check the service log)"
             ) from None
         except wire.WireError as error:
             raise TransportError(
-                f"bad frame from the scoring service at {self.address}: {error}"
+                f"bad frame from the fleet service at {self.address}: {error}"
             ) from None
         if isinstance(message, ServiceError):
-            raise TransportError(f"scoring service reported: {message.message}")
+            raise TransportError(f"fleet service reported: {message.message}")
         return message
 
-    # -- queue surface used by ScoringClient ---------------------------
+    # -- queue surface used by the lease loop -------------------------
     def put(self, message) -> None:
         try:
             wire.send_message(self._sock, message, lock=self._send_lock)
@@ -596,9 +600,9 @@ class TcpWorkerChannel:
 def serve_transport(service, transport, abort=None):
     """Run ``service.serve`` and fail every client loudly on error.
 
-    Whatever kills the scorer loop (protocol violation, stale
-    generation, transport fault) is broadcast to connected clients as
-    a :class:`wire.ServiceError` before re-raising, so synchronous
+    Whatever kills the service loop (protocol violation, transport
+    fault, an ``abort``) is broadcast to connected clients as a
+    :class:`wire.ServiceError` before re-raising, so synchronous
     workers blocked on a reply raise instead of hanging.
     """
     try:

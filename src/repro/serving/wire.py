@@ -1,9 +1,10 @@
 """Length-prefixed binary framing for the TCP fleet transport.
 
 The socket transport (:mod:`repro.serving.transports`) ships exactly
-the dataclasses the queue transport ships -- :class:`AscentRequest`,
-:class:`ConfidenceRequest`, :class:`OverlayUpdate`, :class:`ClientDone`
-and their replies -- but over a wire format with no pickle anywhere:
+the dataclasses the queue transport ships -- the lease frames,
+:class:`StatsUpdate` telemetry and :class:`ClientDone` -- plus the
+handshake and asset-fetch frames below, over a wire format with no
+pickle anywhere:
 
 ``frame := MAGIC(4) | type(1) | header_len(u32) | body_len(u32)
            | header(JSON) | body(packed arrays)``
@@ -12,8 +13,8 @@ and their replies -- but over a wire format with no pickle anywhere:
   body's array manifest (``(name, shape, dtype, offset)`` entries, the
   same layout :func:`repro.nn.serialization.pack_state` produces);
 * the **body** is the ``pack_state`` buffer of the message's ndarray
-  fields -- raw little-endian bytes, so float64 payloads round-trip
-  **bit-exactly** and TCP-scored fleet records can stay bit-identical
+  fields -- raw little-endian bytes, so published float64 assets
+  round-trip **bit-exactly** and TCP fleet records stay bit-identical
   to serial execution.
 
 Every decoding failure raises :class:`WireError` (or its subclass
@@ -37,15 +38,10 @@ import numpy as np
 from .. import telemetry as _telemetry
 from ..nn.serialization import pack_state, unpack_state
 from .service import (
-    AscentReply,
-    AscentRequest,
     CellDone,
     ClientDone,
-    ConfidenceReply,
-    ConfidenceRequest,
     LeaseGrant,
     LeaseRequest,
-    OverlayUpdate,
     Ping,
     StatsUpdate,
 )
@@ -70,10 +66,11 @@ __all__ = [
 
 MAGIC = b"CRL1"
 #: Version 2 added the elastic-fleet frames (LEASE/CELL_DONE/PING) and
-#: the pre-shared auth token field in HELLO.  The handshake rejects
-#: mismatched versions loudly, so mixed deployments fail fast instead
-#: of mis-decoding.
-PROTOCOL_VERSION = 2
+#: the pre-shared auth token field in HELLO.  Version 3 retired the
+#: remote-scoring frames (workers score locally).  The handshake
+#: rejects mismatched versions loudly, so mixed deployments fail fast
+#: instead of mis-decoding.
+PROTOCOL_VERSION = 3
 
 #: magic, message type code, header length, body length.
 _PREFIX = struct.Struct("!4sBII")
@@ -161,52 +158,41 @@ class ServiceError:
 # ----------------------------------------------------------------------
 # Codec registry
 # ----------------------------------------------------------------------
-#: Message class -> ndarray field names (shipped in the packed body).
-_ARRAY_FIELDS = {
-    Hello: (),
-    Welcome: (),
-    AssetIndexRequest: (),
-    AssetIndex: (),
-    AssetRequest: (),
-    AssetReply: ("buffer",),
-    ServiceError: (),
-    AscentRequest: ("metrics", "schedules", "adjacencies"),
-    ConfidenceRequest: ("metrics", "schedules", "adjacencies"),
-    OverlayUpdate: ("buffer",),
-    ClientDone: (),
-    AscentReply: ("metrics", "confidences", "n_steps", "converged"),
-    ConfidenceReply: ("confidences",),
-    # STATS frame: the telemetry snapshot dict rides in the JSON
-    # header (it is JSON-safe by construction), no packed body.
-    # Message type codes come from insertion order, so new messages
-    # must never reorder the existing entries.
-    StatsUpdate: (),
-    # Elastic-fleet frames (protocol 2): the lease queue and the
-    # heartbeat.  Scalar-only payloads, appended after every protocol-1
-    # frame.  (The service-internal WorkerLost notice deliberately has
-    # no wire code: it is enqueued locally by transports/watchdogs and
-    # must never arrive from a client.)
-    LeaseRequest: (),
-    LeaseGrant: (),
-    CellDone: (),
-    Ping: (),
-}
+#: Message class -> ndarray field names (shipped in the packed body);
+#: every other frame is scalar-only.  The STATS frame's telemetry
+#: snapshot dict rides in the JSON header (it is JSON-safe by
+#: construction).
+_ARRAY_FIELDS = {AssetReply: ("buffer",)}
 
-#: Replies are consumed by clients that may mutate result arrays (the
-#: queue transport hands out private pickled copies); decode these to
-#: writable private arrays instead of read-only views.
-_COPY_ON_DECODE = (AscentReply, ConfidenceReply)
+#: Message type codes.  A code is never reused: 8-10, 12 and 13
+#: belonged to the remote-scoring frames retired in protocol 3 and now
+#: decode as unknown.  The service-internal WorkerLost notice
+#: deliberately has no code: transports and watchdogs enqueue it
+#: locally, and it must never arrive from a client.
+_CODE_BY_CLASS = {
+    Hello: 1,
+    Welcome: 2,
+    AssetIndexRequest: 3,
+    AssetIndex: 4,
+    AssetRequest: 5,
+    AssetReply: 6,
+    ServiceError: 7,
+    ClientDone: 11,
+    StatsUpdate: 14,
+    LeaseRequest: 15,
+    LeaseGrant: 16,
+    CellDone: 17,
+    Ping: 18,
+}
+_CLASS_BY_CODE = {code: cls for cls, code in _CODE_BY_CLASS.items()}
 
 #: Fields holding a ``pack_state`` manifest: JSON turns the nested
 #: tuples into lists, so decoding restores the tuple shape.
-_MANIFEST_FIELDS = {OverlayUpdate: ("manifest",), AssetReply: ("manifest",)}
+_MANIFEST_FIELDS = {AssetReply: ("manifest",)}
 
 #: Scalar-tuple fields (JSON round-trips them as lists; decoding
 #: restores the frozen-dataclass tuple shape).
 _INT_TUPLE_FIELDS = {LeaseGrant: ("poisoned",)}
-
-_CODE_BY_CLASS = {cls: code for code, cls in enumerate(_ARRAY_FIELDS, start=1)}
-_CLASS_BY_CODE = {code: cls for cls, code in _CODE_BY_CLASS.items()}
 
 
 def _as_manifest(entries) -> tuple:
@@ -225,7 +211,7 @@ def encode_message(message) -> bytes:
     code = _CODE_BY_CLASS.get(cls)
     if code is None:
         raise WireError(f"{cls.__name__} is not a wire message")
-    array_names = _ARRAY_FIELDS[cls]
+    array_names = _ARRAY_FIELDS.get(cls, ())
     header: Dict[str, object] = {}
     for field in fields(cls):
         if field.name in array_names:
@@ -262,8 +248,9 @@ def decode_payload(code: int, header_bytes: bytes, body: bytes):
 
     kwargs: Dict[str, object] = {}
     pack_manifest = header.pop("__pack__", None)
+    array_names = _ARRAY_FIELDS.get(cls, ())
     scalar_names = {
-        field.name for field in fields(cls) if field.name not in _ARRAY_FIELDS[cls]
+        field.name for field in fields(cls) if field.name not in array_names
     }
     if set(header) != scalar_names:
         raise WireError(
@@ -281,7 +268,6 @@ def decode_payload(code: int, header_bytes: bytes, body: bytes):
                 f"malformed {cls.__name__}.{name} in header: {error}"
             ) from None
 
-    array_names = _ARRAY_FIELDS[cls]
     if array_names:
         if pack_manifest is None:
             raise WireError(f"{cls.__name__} frame is missing its array pack")
@@ -313,9 +299,8 @@ def decode_payload(code: int, header_bytes: bytes, body: bytes):
             raise WireError(
                 f"{cls.__name__} array manifest is invalid: {error}"
             ) from None
-        copy = cls in _COPY_ON_DECODE
         for name in array_names:
-            kwargs[name] = np.array(views[name]) if copy else views[name]
+            kwargs[name] = views[name]
     try:
         return cls(**kwargs)
     except TypeError as error:

@@ -21,7 +21,6 @@ from .faults import (
     PartitionFaultModel,
     PoissonAttackModel,
     build_fault_models,
-    default_fault_models,
     register_fault_model,
     validate_fault_model_names,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "register_fault_model",
     "validate_fault_model_names",
     "build_fault_models",
-    "default_fault_models",
     "AttackEvent",
     "Gateway",
     "GatewayFleet",

@@ -9,9 +9,8 @@ only) metrics layer threaded through every hot path:
   batch-size histogram),
 * the surrogate score cache and tabu search (hit/miss/eviction and
   iteration/evaluation counters),
-* the :class:`~repro.serving.GONScoringService` micro-batcher (drain
-  window span, batch-size and bucket-occupancy histograms, overlay
-  install/eviction counters),
+* the fleet's lease service (lease, requeue, liveness and STATS
+  counters),
 * wire framing (frames/bytes sent and received).
 
 The model
@@ -19,11 +18,11 @@ The model
 A :class:`~repro.telemetry.registry.MetricsRegistry` holds named
 counters, gauges, fixed-edge histograms and timing spans.  Each
 *process* owns one registry (module attribute, reachable through
-:func:`get_registry`); model instances (CAROL, scorers) additionally
+:func:`get_registry`); model instances (CAROL) additionally
 keep small private registries that :func:`repro.experiments.campaign.run_cell`
 folds into the process registry after every cell.  Workers ship
 :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot` dicts to
-the campaign parent (results queue) and to the scoring service
+the campaign parent (results queue) and to the lease service
 (``StatsUpdate`` wire frames), where
 :func:`~repro.telemetry.registry.merge_snapshots` -- associative and
 commutative -- folds them into the fleet-wide view served by the
@@ -55,7 +54,7 @@ from .registry import (
     flatten_snapshot,
     merge_snapshots,
 )
-from .render import render_metrics_text, render_prometheus_text, render_summary
+from .render import render_prometheus_text, render_summary
 
 __all__ = [
     "Counter",
@@ -65,7 +64,6 @@ __all__ = [
     "MetricsRegistry",
     "merge_snapshots",
     "flatten_snapshot",
-    "render_metrics_text",
     "render_prometheus_text",
     "render_summary",
     "DURATION_EDGES_S",

@@ -151,7 +151,6 @@ def _start_elastic_service(cells, n_clients, retry_budget=3, heartbeat_timeout=0
     request_queue = queue.Queue()
     reply_queues = {i: queue.Queue() for i in range(n_clients)}
     service = GONScoringService(
-        {},
         request_queue,
         reply_queues,
         poll_seconds=0.05,
@@ -271,7 +270,7 @@ class TestElasticServiceLoop:
 class TestTcpAuthAndTimeouts:
     def test_wrong_token_rejected_and_accept_loop_survives(self):
         transport = TcpTransport(
-            1, asset_packs={}, asset_index={}, auth_token="hunter2", elastic=True
+            1, asset_packs={}, asset_index={}, auth_token="hunter2"
         )
         transport.start()
         try:
@@ -292,7 +291,7 @@ class TestTcpAuthAndTimeouts:
 
     def test_missing_token_rejected_when_service_requires_one(self):
         transport = TcpTransport(
-            1, asset_packs={}, asset_index={}, auth_token="hunter2", elastic=True
+            1, asset_packs={}, asset_index={}, auth_token="hunter2"
         )
         transport.start()
         try:
@@ -302,7 +301,7 @@ class TestTcpAuthAndTimeouts:
             transport.close()
 
     def test_read_timeout_fails_loudly_instead_of_hanging(self):
-        transport = TcpTransport(1, asset_packs={}, asset_index={}, elastic=True)
+        transport = TcpTransport(1, asset_packs={}, asset_index={})
         transport.start()
         channel = None
         try:
@@ -319,7 +318,7 @@ class TestTcpAuthAndTimeouts:
             transport.close()
 
     def test_heartbeats_do_not_count_as_activity(self):
-        transport = TcpTransport(1, asset_packs={}, asset_index={}, elastic=True)
+        transport = TcpTransport(1, asset_packs={}, asset_index={})
         transport.start()
         channel = None
         try:
@@ -464,7 +463,7 @@ class TestCampaignChaos:
                     break
                 for cell in sorted(coordinator.lease_view()):
                     coordinator.requeue_cell(cell)
-                time.sleep(0.05)
+                time.sleep(0.005)
 
         records = run_fleet_campaign(chaos_grid, tasks, chaos_assets, chaos=chaos)
         # Both the original lease holder and the re-lease worker ran

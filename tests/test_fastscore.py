@@ -10,8 +10,6 @@ Pins the PR-7 contract end to end:
   and within rtol=1e-5 in float32;
 * ``core/scoring.LocalScorer`` backend selection and post-fine-tune
   kernel re-export;
-* the scoring service's fast-backend features: cross-bucket fused
-  ascents and the adaptive micro-batch window;
 * the scenario-catalog parity sweep: for every registered scenario the
   ``fast`` backend must produce bit-identical campaign records and
   identical decision digests, and ``fast32`` must agree on decisions
@@ -21,9 +19,7 @@ Pins the PR-7 contract end to end:
 
 from __future__ import annotations
 
-import queue
 import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +41,6 @@ from repro.nn.serialization import (
     verify_inference_pack,
 )
 from repro.scenarios import all_scenarios
-from repro.serving import GONScoringService, ScoringClient
 
 
 def _stacks(samples, count=None):
@@ -191,42 +186,6 @@ class TestFastKernelParity:
             atol=1e-7,
         )
 
-    def test_per_element_parameters_match_split_calls(
-        self, trained_gon, session_samples
-    ):
-        # The property service-side fusing (merge_requests + fast)
-        # rests on: one kernel call with per-element gamma / step caps
-        # matches the separate per-request calls element for element.
-        # NOT bitwise -- concatenation changes the BLAS leading
-        # dimension, the documented ~1-ulp merge waiver -- so the
-        # comparison is allclose at merged-policy tightness.
-        kernel = FastGONKernel.from_model(trained_gon)
-        metrics, schedules, adjacencies = _stacks(session_samples, 6)
-        first = kernel.ascent(
-            schedules[:3], adjacencies[:3], init_metrics=metrics[:3],
-            gamma=1e-2, max_steps=5,
-        )
-        second = kernel.ascent(
-            schedules[3:], adjacencies[3:], init_metrics=metrics[3:],
-            gamma=2e-3, max_steps=8,
-        )
-        fused = kernel.ascent(
-            schedules, adjacencies, init_metrics=metrics,
-            gamma=np.array([1e-2] * 3 + [2e-3] * 3),
-            max_steps=np.array([5] * 3 + [8] * 3),
-        )
-        split = first + second
-        np.testing.assert_allclose(
-            [r.confidence for r in fused],
-            [r.confidence for r in split],
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            np.stack([r.metrics for r in fused]),
-            np.stack([r.metrics for r in split]),
-            atol=1e-9,
-        )
-
     def test_ascent_rejects_bad_parameters(self, trained_gon, session_samples):
         kernel = FastGONKernel.from_model(trained_gon)
         metrics, schedules, adjacencies = _stacks(session_samples, 2)
@@ -288,162 +247,6 @@ class TestLocalScorerBackends:
                 gamma=1e-2, max_steps=3,
             ),
         )
-
-
-# ----------------------------------------------------------------------
-# Scoring service: fused buckets + adaptive window
-# ----------------------------------------------------------------------
-class TestServiceFastBackend:
-    def _serve(self, trained_gon, n_clients=1, **kwargs):
-        request_queue = queue.Queue()
-        replies = {i: queue.Queue() for i in range(n_clients)}
-        service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies, **kwargs
-        )
-        thread = threading.Thread(target=service.serve, daemon=True)
-        thread.start()
-        clients = [
-            ScoringClient(i, "scenario", request_queue, replies[i])
-            for i in range(n_clients)
-        ]
-        return service, thread, clients
-
-    def test_fast_backend_replies_bitwise_equal(
-        self, trained_gon, session_samples
-    ):
-        service, thread, (client,) = self._serve(
-            trained_gon, scorer_backend="fast"
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 5)
-        remote = client.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=4)
-        oracle = generate_metrics_batch(
-            trained_gon, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=4,
-        )
-        _assert_results_bitwise(remote, oracle)
-        client.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_concurrent_requests_stay_bitwise_without_merging(
-        self, trained_gon, session_samples
-    ):
-        # Two clients with *different* ascent parameters on the default
-        # (merge_requests=False) fast service: every request gets its
-        # own kernel call, so replies equal the per-request oracle bit
-        # for bit and nothing is ever fused.
-        service, thread, clients = self._serve(
-            trained_gon, n_clients=2, scorer_backend="fast"
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 4)
-        results = {}
-
-        def ask(index, client, gamma, steps):
-            results[index] = client.ascent(
-                metrics, schedules, adjacencies, gamma=gamma, max_steps=steps
-            )
-
-        threads = [
-            threading.Thread(
-                target=ask, args=(i, clients[i], gamma, steps), daemon=True
-            )
-            for i, (gamma, steps) in enumerate(((1e-2, 4), (3e-3, 6)))
-        ]
-        for worker in threads:
-            worker.start()
-        for worker in threads:
-            worker.join(timeout=10)
-        assert sorted(results) == [0, 1]
-        for index, (gamma, steps) in enumerate(((1e-2, 4), (3e-3, 6))):
-            oracle = generate_metrics_batch(
-                trained_gon, schedules, adjacencies, init_metrics=metrics,
-                gamma=gamma, max_steps=steps,
-            )
-            _assert_results_bitwise(results[index], oracle)
-        for client in clients:
-            client.close()
-        thread.join(timeout=10)
-        assert service.stats.fused_elements == 0
-        assert service.stats.n_elements == 8
-
-    def test_fused_batch_deterministic_when_queued_together(
-        self, trained_gon, session_samples
-    ):
-        # Deterministic fusing (merge_requests + fast): enqueue both
-        # requests *before* serve() drains, so they are guaranteed to
-        # share a batch, and the differing gamma / step caps fuse into
-        # one kernel call.  Merged replies carry the ~1-ulp waiver, so
-        # the oracle comparison is allclose, not bitwise.
-        request_queue = queue.Queue()
-        replies = {0: queue.Queue(), 1: queue.Queue()}
-        service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies,
-            scorer_backend="fast", merge_requests=True,
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 3)
-        from repro.serving import AscentRequest, ClientDone
-
-        for client_id, (gamma, steps) in ((0, (1e-2, 3)), (1, (4e-3, 5))):
-            request_queue.put(
-                AscentRequest(
-                    client_id=client_id,
-                    request_id=1,
-                    model_key="scenario",
-                    metrics=metrics,
-                    schedules=schedules,
-                    adjacencies=adjacencies,
-                    gamma=gamma,
-                    max_steps=steps,
-                )
-            )
-        request_queue.put(ClientDone(client_id=0))
-        request_queue.put(ClientDone(client_id=1))
-        service.serve()
-        assert service.stats.fused_elements == 6
-        for client_id, (gamma, steps) in ((0, (1e-2, 3)), (1, (4e-3, 5))):
-            reply = replies[client_id].get_nowait()
-            oracle = generate_metrics_batch(
-                trained_gon, schedules, adjacencies, init_metrics=metrics,
-                gamma=gamma, max_steps=steps,
-            )
-            np.testing.assert_allclose(
-                reply.confidences,
-                [r.confidence for r in oracle],
-                rtol=1e-12,
-            )
-            np.testing.assert_allclose(
-                reply.metrics,
-                np.stack([r.metrics for r in oracle]),
-                atol=1e-9,
-            )
-
-    def test_adaptive_window_stays_clamped(self, trained_gon, session_samples):
-        window = 0.002
-        service, thread, (client,) = self._serve(
-            trained_gon, window_seconds=window
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 2)
-        for _ in range(4):
-            client.ascent(metrics, schedules, adjacencies,
-                          gamma=1e-2, max_steps=2)
-        client.close()
-        thread.join(timeout=10)
-        floor = window * GONScoringService._WINDOW_FLOOR
-        assert floor <= service.stats.window_seconds <= window
-
-    def test_adaptive_window_off_keeps_configured_window(
-        self, trained_gon, session_samples
-    ):
-        window = 0.002
-        service, thread, (client,) = self._serve(
-            trained_gon, window_seconds=window, adaptive_window=False
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples, 2)
-        client.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
-        client.close()
-        thread.join(timeout=10)
-        assert service.stats.window_seconds == window
 
 
 # ----------------------------------------------------------------------

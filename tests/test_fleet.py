@@ -1,20 +1,15 @@
-"""Fleet serving stack: shared memory, scoring service, persistent cache.
+"""Fleet stack: shared memory, persistent cache, fleet campaigns.
 
-Covers the PR-3 subsystems end to end:
+Covers end to end:
 
 * read-only state export and zero-copy loading (``repro.nn``);
 * shared-memory array packs (publish / attach / unlink);
-* the bucketed scoring service -- exact-policy results bitwise equal
-  to in-process scoring, merged policy equal to tight tolerance;
-* ``FleetScorer`` copy-on-write divergence on fine-tune;
 * CAROL's persistent surrogate cache: counters monotone, entries
   reused across intervals, full invalidation exactly when fine-tuning
   fires, capacity-bounded eviction, both cache scopes;
-* fleet-mode campaigns bit-identical to serial execution.
+* fleet-mode campaigns bit-identical to serial execution, with every
+  GON ascent scored in the worker and the service only leasing cells.
 """
-
-import queue
-import threading
 
 import numpy as np
 import pytest
@@ -26,16 +21,8 @@ from repro.core import (
     LocalScorer,
     TrainingConfig,
 )
-from repro.core.surrogate import generate_metrics_batch
 from repro.nn.serialization import freeze_state, pack_state, unpack_state
-from repro.serving import (
-    AscentRequest,
-    AttachedArrayPack,
-    FleetScorer,
-    GONScoringService,
-    ScoringClient,
-    SharedArrayPack,
-)
+from repro.serving import AttachedArrayPack, SharedArrayPack
 from repro.simulator import EdgeFederation
 from repro.simulator.detection import FailureReport
 
@@ -116,336 +103,6 @@ class TestSharedArrayPack:
         finally:
             pack.close()
             pack.unlink()
-
-
-# ----------------------------------------------------------------------
-# Scoring service (in-process: plain queues + a thread)
-# ----------------------------------------------------------------------
-@pytest.fixture
-def service_setup(trained_gon):
-    request_queue, reply_queue = queue.Queue(), queue.Queue()
-
-    def start(merge_requests=False):
-        service = GONScoringService(
-            {"scenario": trained_gon},
-            request_queue,
-            {0: reply_queue},
-            merge_requests=merge_requests,
-        )
-        thread = threading.Thread(target=service.serve, daemon=True)
-        thread.start()
-        client = ScoringClient(0, "scenario", request_queue, reply_queue)
-        return service, thread, client
-
-    return start
-
-
-def _stacks(samples):
-    return (
-        np.stack([s.metrics for s in samples]),
-        np.stack([s.schedule for s in samples]),
-        np.stack([s.adjacency for s in samples]),
-    )
-
-
-class TestScoringService:
-    def test_exact_policy_bitwise_equals_local(
-        self, service_setup, trained_gon, session_samples
-    ):
-        _service, thread, client = service_setup()
-        metrics, schedules, adjacencies = _stacks(session_samples[:6])
-        remote = client.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=5)
-        local = generate_metrics_batch(
-            trained_gon, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for r, l in zip(remote, local):
-            assert np.array_equal(r.metrics, l.metrics)
-            assert r.confidence == l.confidence
-            assert r.n_steps == l.n_steps
-            assert r.converged == l.converged
-        client.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-    def test_confidence_requests(self, service_setup, trained_gon,
-                                 session_samples):
-        _service, thread, client = service_setup()
-        metrics, schedules, adjacencies = _stacks(session_samples[:4])
-        remote = client.confidences(metrics, schedules, adjacencies)
-        local = trained_gon.forward_batch(
-            metrics, schedules, adjacencies
-        ).data
-        assert np.array_equal(remote, local)
-        client.close()
-        thread.join(timeout=10)
-
-    def test_merged_policy_matches_to_tolerance(
-        self, trained_gon, session_samples
-    ):
-        # Both clients are registered before serve() starts, so the
-        # service cannot wind down until each has signed off -- no
-        # startup race -- and two concurrent requests genuinely merge.
-        request_queue = queue.Queue()
-        replies = {0: queue.Queue(), 1: queue.Queue()}
-        service = GONScoringService(
-            {"scenario": trained_gon}, request_queue, replies,
-            merge_requests=True,
-        )
-        thread = threading.Thread(target=service.serve, daemon=True)
-        thread.start()
-        client = ScoringClient(0, "scenario", request_queue, replies[0])
-        metrics, schedules, adjacencies = _stacks(session_samples[:4])
-        other = {}
-
-        def second_client():
-            peer = ScoringClient(1, "scenario", request_queue, replies[1])
-            other["result"] = peer.ascent(
-                metrics, schedules, adjacencies, gamma=1e-2, max_steps=5
-            )
-            peer.close()
-
-        peer_thread = threading.Thread(target=second_client, daemon=True)
-        peer_thread.start()
-        mine = client.ascent(metrics, schedules, adjacencies,
-                             gamma=1e-2, max_steps=5)
-        peer_thread.join(timeout=10)
-        assert "result" in other
-        local = generate_metrics_batch(
-            trained_gon, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for result_set in (mine, other["result"]):
-            for r, l in zip(result_set, local):
-                np.testing.assert_allclose(
-                    r.metrics, l.metrics, rtol=1e-9, atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    r.confidence, l.confidence, rtol=1e-9, atol=1e-12
-                )
-        client.close()
-        thread.join(timeout=10)
-        stats = service.stats
-        assert stats.n_requests == 2
-        assert stats.n_elements == 8
-
-    def test_service_stats_track_elements(self, service_setup,
-                                          session_samples):
-        service, thread, client = service_setup()
-        metrics, schedules, adjacencies = _stacks(session_samples[:3])
-        client.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
-        client.confidences(metrics, schedules, adjacencies)
-        client.close()
-        thread.join(timeout=10)
-        assert service.stats.n_requests == 2
-        assert service.stats.n_elements == 6
-        assert service.stats.n_batches == 2
-
-
-def _shared_replica(trained_gon):
-    """A worker-side replica mounted read-only over the base weights."""
-    replica = GONDiscriminator(np.random.default_rng(9), hidden=16,
-                               n_layers=2)
-    replica.load_state_dict(
-        freeze_state(trained_gon.state_dict()), copy=False
-    )
-    return replica
-
-
-class TestFleetScorer:
-    def test_copy_on_write_divergence(self, service_setup, trained_gon,
-                                      session_samples):
-        _service, thread, client = service_setup()
-        replica = _shared_replica(trained_gon)
-        scorer = FleetScorer(client, replica, overlays=False)
-        assert scorer.generation == 0
-        assert not replica.parameters()[0].data.flags.writeable
-
-        sample = session_samples[0]
-        assert scorer.confidence(sample) == trained_gon.score(sample)
-
-        scorer.fine_tune(
-            session_samples[:6],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        assert scorer.generation == 1
-        assert replica.parameters()[0].data.flags.writeable
-        # The published weights must be untouched by the divergence.
-        assert np.array_equal(
-            trained_gon.parameters()[0].data,
-            freeze_state(trained_gon.state_dict())[
-                next(iter(trained_gon.state_dict()))
-            ],
-        )
-        # Post-divergence ascents run locally (no service round-trip)
-        # in the pre-overlay mode -- and are counted, never silent.
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        local = scorer.ascent(metrics, schedules, adjacencies,
-                              gamma=1e-2, max_steps=2)
-        assert len(local) == 2
-        assert scorer.diagnostics["local_fallbacks"] == 1
-        assert scorer.diagnostics["overlay_installs"] == 0
-        client.close()
-        thread.join(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# Per-client weight overlays
-# ----------------------------------------------------------------------
-class TestOverlayLifecycle:
-    def test_fine_tune_installs_overlay_scores_bitwise(
-        self, service_setup, trained_gon, session_samples
-    ):
-        """fine-tune -> overlay install -> service scores bit-identical
-        to worker-local scoring on the fine-tuned weights."""
-        service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-
-        scorer.fine_tune(
-            session_samples[:6],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        assert scorer.generation == 1
-        assert scorer.diagnostics["overlay_installs"] == 1
-
-        metrics, schedules, adjacencies = _stacks(session_samples[:5])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=5)
-        local = generate_metrics_batch(
-            scorer.model, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for r, ref in zip(remote, local):
-            assert np.array_equal(r.metrics, ref.metrics)
-            assert r.confidence == ref.confidence
-            assert r.n_steps == ref.n_steps
-        # The diverged replica stayed in the consolidated stream.
-        assert scorer.diagnostics["local_fallbacks"] == 0
-        client.close()
-        thread.join(timeout=10)
-        assert service.stats.overlay_installs == 1
-        assert service.stats.overlay_elements == 5
-        # Base weights are untouched by the overlay.
-        state = trained_gon.state_dict()
-        assert np.array_equal(
-            trained_gon.parameters()[0].data, state[next(iter(state))]
-        )
-
-    def test_second_fine_tune_replaces_overlay(
-        self, service_setup, trained_gon, session_samples
-    ):
-        service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-        for seed in (0, 1):
-            scorer.fine_tune(
-                session_samples[:4],
-                TrainingConfig(epochs=1, generation_steps=2, seed=seed),
-                iterations=1,
-                rng=np.random.default_rng(seed),
-            )
-        assert scorer.generation == 2
-        metrics, schedules, adjacencies = _stacks(session_samples[:3])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=3)
-        local = generate_metrics_batch(
-            scorer.model, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=3,
-        )
-        for r, ref in zip(remote, local):
-            assert np.array_equal(r.metrics, ref.metrics)
-        client.close()
-        thread.join(timeout=10)
-        assert service.stats.overlay_installs == 2
-        assert scorer.diagnostics["local_fallbacks"] == 0
-
-    def test_overlay_evicted_on_disconnect(
-        self, service_setup, trained_gon, session_samples
-    ):
-        service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-        scorer.fine_tune(
-            session_samples[:4],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        # One scored request so the install is definitely applied.
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        scorer.ascent(metrics, schedules, adjacencies, gamma=1e-2, max_steps=2)
-        client.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert service._overlays == {}
-        assert service.stats.overlay_evictions == 1
-
-    def test_remote_confidences_on_overlay(
-        self, service_setup, trained_gon, session_samples
-    ):
-        """The overlay protocol covers confidence forwards too: a
-        diverged client can score D(M, S, G) stacks on the service."""
-        _service, thread, client = service_setup()
-        scorer = FleetScorer(client, _shared_replica(trained_gon))
-        scorer.fine_tune(
-            session_samples[:4],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples[:4])
-        remote = client.confidences(
-            metrics, schedules, adjacencies, generation=scorer.generation
-        )
-        local = scorer.model.forward_batch(
-            metrics, schedules, adjacencies
-        ).data
-        assert np.array_equal(remote, local)
-        # And at generation 0 the same call still hits the base model.
-        base = client.confidences(metrics, schedules, adjacencies)
-        assert np.array_equal(
-            base, trained_gon.forward_batch(metrics, schedules, adjacencies).data
-        )
-        client.close()
-        thread.join(timeout=10)
-
-    def test_generations_never_share_a_bucket(self, session_samples):
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-
-        def request(client_id, generation):
-            return AscentRequest(
-                client_id=client_id, request_id=1, model_key="scenario",
-                metrics=metrics, schedules=schedules,
-                adjacencies=adjacencies, gamma=1e-2, max_steps=5,
-                generation=generation,
-            )
-
-        # Generation 0 is the shared base model: clients may merge.
-        assert request(0, 0).bucket == request(1, 0).bucket
-        # Different generations never share a bucket...
-        assert request(0, 0).bucket != request(0, 1).bucket
-        assert request(0, 1).bucket != request(0, 2).bucket
-        # ...and neither do two diverged clients at equal generation
-        # (their overlay weights are private).
-        assert request(0, 1).bucket != request(1, 1).bucket
-
-    def test_stale_generation_request_is_a_protocol_error(
-        self, trained_gon, session_samples
-    ):
-        service = GONScoringService(
-            {"scenario": trained_gon}, queue.Queue(), {0: queue.Queue()}
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples[:1])
-        orphan = AscentRequest(
-            client_id=0, request_id=1, model_key="scenario",
-            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
-            gamma=1e-2, max_steps=2, generation=3,
-        )
-        with pytest.raises(RuntimeError, match="overlay"):
-            service._resolve_model(orphan)
 
 
 # ----------------------------------------------------------------------
@@ -652,7 +309,7 @@ class TestFleetCampaign:
         )
         assert pool.rows() == fleet.rows()
 
-    def test_fleet_service_actually_scores(
+    def test_fleet_service_leases_every_cell(
         self, tiny_fleet_grid, tiny_fleet_assets
     ):
         from repro.experiments.campaign import plan_tasks
@@ -666,19 +323,14 @@ class TestFleetCampaign:
         # 2 models (CAROL, CAROL-Proactive) x 2 seeds.
         assert len(records) == 4
         assert {r.model for r in records} == {"CAROL", "CAROL-Proactive"}
-        assert sink[0].n_requests > 0
-        assert sink[0].n_elements > 0
-        # No run degraded to worker-local scoring.
-        assert all(
-            r.diagnostics.get("local_fallbacks", 0) == 0 for r in records
-        )
+        assert sink[0].leases_granted == 4
+        assert sink[0].cells_completed == 4
 
     def test_proactive_fleet_with_fine_tunes_bit_identical(
         self, tiny_fleet_grid, tiny_fleet_assets
     ):
         """The acceptance contract: a fleet ProactiveCAROL campaign
-        whose POT gate opens stays bit-identical to serial execution,
-        with overlays keeping every diverged ascent on the service."""
+        whose POT gate opens stays bit-identical to serial execution."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -701,17 +353,42 @@ class TestFleetCampaign:
         assert serial.rows() == fleet.rows()
 
         (record,) = fleet.records
-        # The gate opened, the overlay shipped, nothing degraded.
+        # The gate opened.
         assert record.diagnostics["n_fine_tunes"] >= 1
-        assert record.diagnostics["overlay_installs"] >= 1
-        assert record.diagnostics["local_fallbacks"] == 0
         # The serial twin fine-tuned identically (same decision path).
         (serial_record,) = serial.records
         assert (
             serial_record.diagnostics["n_fine_tunes"]
             == record.diagnostics["n_fine_tunes"]
         )
-        assert serial_record.diagnostics["local_fallbacks"] == 0
+
+    def test_fleet_scores_locally_without_remote_round_trips(
+        self, tiny_fleet_grid, tiny_fleet_assets
+    ):
+        """Fleet workers score every ascent in-process: with the POT
+        gate opened early the cells fine-tune, records stay
+        bit-identical to serial, every cell is leased, and no request
+        ever crosses to the service for scoring."""
+        from dataclasses import replace
+
+        from repro.experiments import run_campaign
+
+        grid = replace(
+            tiny_fleet_grid,
+            models=("CAROL-Proactive",),
+            n_intervals=10,
+            carol_overrides=(("pot_calibration", 5),),
+        )
+        serial = run_campaign(
+            replace(grid, mode="process", workers=1),
+            prepared_assets=tiny_fleet_assets,
+        )
+        fleet = run_campaign(grid, prepared_assets=tiny_fleet_assets)
+        assert serial.rows() == fleet.rows()
+        assert sum(r.diagnostics["n_fine_tunes"] for r in fleet.records) >= 1
+        assert fleet.telemetry["counters"]["fleet.leases"] >= len(fleet.records)
+        assert "client.round_trip" not in fleet.telemetry.get("spans", {})
+        assert "service.requests" not in fleet.telemetry["counters"]
 
     def test_transport_and_service_addr_validated(self):
         from repro.experiments import CampaignConfig
@@ -840,8 +517,8 @@ class TestTcpFleetCampaign:
     ):
         """The acceptance contract for the socket transport: a
         two-worker ProactiveCAROL campaign over TCP on localhost, POT
-        gate opening and overlays shipping across the wire, stays
-        bit-identical to serial execution with zero local fallbacks."""
+        gate opening, stays
+        bit-identical to serial execution."""
         from dataclasses import replace
 
         from repro.experiments import run_campaign
@@ -862,22 +539,15 @@ class TestTcpFleetCampaign:
             prepared_assets=tiny_fleet_assets,
         )
         assert serial.rows() == fleet.rows()
-        # Fine-tuning fired somewhere in the grid, its overlay crossed
-        # the socket, and no ascent degraded to worker-local scoring.
+        # Fine-tuning fired somewhere in the grid.
         assert sum(
             r.diagnostics["n_fine_tunes"] for r in fleet.records
         ) >= 1
-        assert sum(
-            r.diagnostics["overlay_installs"] for r in fleet.records
-        ) >= 1
-        assert all(
-            r.diagnostics["local_fallbacks"] == 0 for r in fleet.records
-        )
 
     def test_remote_service_campaign_matches_serial(
         self, tiny_fleet_grid, tiny_fleet_assets
     ):
-        """The multi-node split: a separately hosted scoring service
+        """The multi-node split: a separately hosted lease service
         (``python -m repro serve``'s backbone) answering a campaign
         that fetches its assets over the socket."""
         import threading
@@ -927,5 +597,5 @@ class TestTcpFleetCampaign:
         assert not thread.is_alive()
         assert "error" not in outcome
         assert serial.rows() == remote.rows()
-        # The remote service genuinely scored the campaign.
-        assert outcome["stats"].n_requests > 0
+        # The remote service genuinely leased the campaign.
+        assert outcome["stats"].leases_granted >= len(serial.records)

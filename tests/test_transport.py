@@ -1,34 +1,32 @@
-"""TCP fleet transport: wire codec, socket scoring, failure modes.
-
-The contract under test mirrors ``TestOverlayLifecycle``'s semantics
-over the network hop:
+"""TCP fleet transport: wire codec, asset channel, failure modes.
 
 * the wire codec round-trips every protocol dataclass bit-exactly and
-  refuses malformed or truncated frames loudly;
-* a scoring service behind :class:`TcpTransport` answers ascents
-  bitwise-identical to in-process execution, overlays included;
-* every failure mode -- garbage frames, truncated frames, a client
-  disconnecting mid-ascent, stale-generation requests, unknown asset
-  packs -- surfaces as a loud ``TransportError`` on both sides of the
-  socket, never as a hang.
+  refuses malformed, truncated or retired frames loudly;
+* a lease service behind :class:`TcpTransport` serves published asset
+  packs over the socket;
+* every failure mode -- garbage frames, truncated frames, spoofed
+  client ids, unknown asset packs, a handshake in another protocol
+  version -- is loud on the side that caused it and never a hang; the
+  offending client is dropped and the rest of the fleet keeps running.
 """
 
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.core import TrainingConfig
-from repro.core.surrogate import generate_metrics_batch
+from repro import telemetry
 from repro.nn.serialization import pack_state
 from repro.serving import (
-    AscentRequest,
-    FleetScorer,
+    CellCoordinator,
+    CellDone,
     GONScoringService,
+    LeaseGrant,
+    LeaseRequest,
     QueueTransport,
-    ScoringClient,
     TcpTransport,
     TcpWorkerChannel,
     TransportError,
@@ -37,15 +35,7 @@ from repro.serving import (
     serve_transport,
 )
 from repro.serving import wire
-from repro.serving.service import AscentReply, ClientDone, OverlayUpdate
-
-
-def _stacks(samples):
-    return (
-        np.stack([s.metrics for s in samples]),
-        np.stack([s.schedule for s in samples]),
-        np.stack([s.adjacency for s in samples]),
-    )
+from repro.serving.service import ClientDone
 
 
 def _decode_frame(frame: bytes):
@@ -65,64 +55,6 @@ def _decode_frame(frame: bytes):
 # Wire codec
 # ----------------------------------------------------------------------
 class TestWireCodec:
-    def test_ascent_request_roundtrip(self, rng):
-        request = AscentRequest(
-            client_id=3,
-            request_id=17,
-            model_key="paper-default",
-            metrics=rng.standard_normal((4, 8, 7)),
-            schedules=rng.standard_normal((4, 8, 5)),
-            adjacencies=rng.standard_normal((4, 8, 8)),
-            gamma=1e-2,
-            max_steps=25,
-            generation=2,
-        )
-        decoded = _decode_frame(wire.encode_message(request))
-        assert isinstance(decoded, AscentRequest)
-        assert decoded.client_id == 3
-        assert decoded.request_id == 17
-        assert decoded.model_key == "paper-default"
-        assert decoded.gamma == request.gamma
-        assert decoded.max_steps == 25
-        assert decoded.generation == 2
-        for field in ("metrics", "schedules", "adjacencies"):
-            sent, received = getattr(request, field), getattr(decoded, field)
-            assert np.array_equal(sent, received)
-            assert received.dtype == sent.dtype
-        # The request's bucket key survives the hop unchanged.
-        assert decoded.bucket == request.bucket
-
-    def test_ascent_reply_roundtrip_is_writable(self, rng):
-        reply = AscentReply(
-            request_id=5,
-            metrics=rng.standard_normal((3, 8, 7)),
-            confidences=rng.random(3),
-            n_steps=np.array([4, 9, 2], dtype=int),
-            converged=np.array([True, False, True]),
-        )
-        decoded = _decode_frame(wire.encode_message(reply))
-        assert np.array_equal(decoded.metrics, reply.metrics)
-        assert np.array_equal(decoded.n_steps, reply.n_steps)
-        assert decoded.n_steps.dtype == reply.n_steps.dtype
-        assert np.array_equal(decoded.converged, reply.converged)
-        # Replies decode to private writable copies (the queue
-        # transport hands out pickled copies; parity of semantics).
-        assert decoded.metrics.flags.writeable
-
-    def test_overlay_update_roundtrip(self, rng):
-        state = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
-        buffer, manifest = pack_state(state)
-        update = OverlayUpdate(
-            client_id=1,
-            model_key="scenario",
-            generation=2,
-            buffer=buffer,
-            manifest=tuple(manifest),
-        )
-        decoded = _decode_frame(wire.encode_message(update))
-        assert decoded.manifest == tuple(manifest)
-        assert np.array_equal(decoded.buffer, buffer)
-
     def test_control_messages_roundtrip(self):
         done = _decode_frame(wire.encode_message(ClientDone(client_id=4)))
         assert done == ClientDone(client_id=4)
@@ -146,8 +78,12 @@ class TestWireCodec:
             right.close()
 
     def test_unknown_type_code_is_loud(self):
-        with pytest.raises(wire.WireError, match="unknown wire message"):
-            wire.decode_payload(99, b"{}", b"")
+        # 99 was never assigned; 8-10, 12 and 13 are the retired
+        # remote-scoring frames (ascent/confidence requests, overlay
+        # updates and their replies), which must never decode again.
+        for code in (99, 8, 9, 10, 12, 13):
+            with pytest.raises(wire.WireError, match="unknown wire message"):
+                wire.decode_payload(code, b"{}", b"")
 
     def test_garbage_header_is_loud(self):
         with pytest.raises(wire.WireError, match="malformed"):
@@ -165,13 +101,12 @@ class TestWireCodec:
             right.close()
 
     def test_truncated_frame_is_loud(self, rng):
+        buffer, manifest = pack_state({"w": rng.standard_normal((2, 4, 3))})
         frame = wire.encode_message(
-            AscentRequest(
-                client_id=0, request_id=1, model_key="s",
-                metrics=rng.standard_normal((2, 4, 3)),
-                schedules=rng.standard_normal((2, 4, 2)),
-                adjacencies=rng.standard_normal((2, 4, 4)),
-                gamma=1e-2, max_steps=3,
+            wire.AssetReply(
+                pack="s/weights",
+                manifest=tuple(tuple(e) for e in manifest),
+                buffer=buffer,
             )
         )
         left, right = socket.socketpair()
@@ -245,104 +180,84 @@ class TestQueueTransport:
 
 
 # ----------------------------------------------------------------------
-# TCP scoring service
+# TCP lease service
 # ----------------------------------------------------------------------
 @pytest.fixture
-def tcp_service(trained_gon):
-    """Start a TCP-fronted scoring service; yields a factory."""
-    transports = []
+def tcp_service():
+    """Start a TCP-fronted lease service over one cell; yields a factory.
+
+    The service runs until a client leases and completes the cell, or
+    until the test ends (teardown aborts it), so a test that only
+    probes failure paths never leaves a serve loop behind.
+    """
+    started = []
 
     def start(n_clients=1, asset_packs=None, asset_index=None):
         transport = TcpTransport(
             n_clients, asset_packs=asset_packs, asset_index=asset_index
         )
-        transports.append(transport)
         transport.start()
         service = GONScoringService(
-            {"scenario": trained_gon},
             transport.request_queue,
             transport.reply_queues,
+            CellCoordinator([0]),
+            poll_seconds=0.05,
+            heartbeat_timeout=0.0,
         )
+        service.on_worker_lost = transport.close_client
+        stop = threading.Event()
         outcome = {}
 
         def run():
             try:
-                outcome["stats"] = serve_transport(service, transport)
+                outcome["stats"] = serve_transport(
+                    service, transport, abort=stop.is_set
+                )
             except BaseException as error:
                 outcome["error"] = error
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
+        started.append((transport, stop, thread))
         return transport, service, thread, outcome
 
     yield start
-    for transport in transports:
+    for transport, stop, thread in started:
+        stop.set()
+        thread.join(timeout=15)
         transport.close()
 
 
+def _await_lost(service, client_id, timeout=15.0):
+    """Wait until the service declares ``client_id`` lost."""
+    deadline = time.monotonic() + timeout
+    while client_id not in service.lost:
+        assert time.monotonic() < deadline, "client was never declared lost"
+        time.sleep(0.02)
+
+
+def _finish_campaign(transport):
+    """A well-behaved worker: lease the cell, complete it, sign off."""
+    channel = TcpWorkerChannel(transport.address)
+    channel.put(LeaseRequest(client_id=channel.client_id, request_id=1))
+    grant = channel.get()
+    assert isinstance(grant, LeaseGrant) and grant.cell_id == 0
+    channel.put(CellDone(client_id=channel.client_id, cell_id=0))
+    channel.put(LeaseRequest(client_id=channel.client_id, request_id=2))
+    assert channel.get().drained
+    channel.put(ClientDone(channel.client_id))
+    channel.close()
+
+
 class TestTcpScoringService:
-    def test_ascent_bitwise_equals_local(
-        self, tcp_service, trained_gon, session_samples
-    ):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
-        client = ScoringClient(channel.client_id, "scenario", channel, channel)
-        metrics, schedules, adjacencies = _stacks(session_samples[:6])
-        remote = client.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=5)
-        local = generate_metrics_batch(
-            trained_gon, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for r, ref in zip(remote, local):
-            assert np.array_equal(r.metrics, ref.metrics)
-            assert r.confidence == ref.confidence
-            assert r.n_steps == ref.n_steps
-            assert r.converged == ref.converged
-        client.close()
-        channel.close()
+    def test_lease_roundtrip_over_tcp(self, tcp_service):
+        transport, service, thread, outcome = tcp_service()
+        _finish_campaign(transport)
         thread.join(timeout=15)
         assert not thread.is_alive()
         assert "error" not in outcome
-
-    def test_overlay_lifecycle_over_tcp(
-        self, tcp_service, trained_gon, session_samples
-    ):
-        """fine-tune -> overlay install -> TCP-scored ascents bitwise
-        equal to worker-local scoring on the fine-tuned weights."""
-        from repro.nn.serialization import freeze_state
-
-        transport, service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
-        client = ScoringClient(channel.client_id, "scenario", channel, channel)
-        replica = trained_gon.clone_architecture(np.random.default_rng(9))
-        replica.load_state_dict(
-            freeze_state(trained_gon.state_dict()), copy=False
-        )
-        scorer = FleetScorer(client, replica)
-        scorer.fine_tune(
-            session_samples[:6],
-            TrainingConfig(epochs=1, generation_steps=2, seed=0),
-            iterations=1,
-            rng=np.random.default_rng(0),
-        )
-        metrics, schedules, adjacencies = _stacks(session_samples[:5])
-        remote = scorer.ascent(metrics, schedules, adjacencies,
-                               gamma=1e-2, max_steps=5)
-        local = generate_metrics_batch(
-            scorer.model, schedules, adjacencies, init_metrics=metrics,
-            gamma=1e-2, max_steps=5,
-        )
-        for r, ref in zip(remote, local):
-            assert np.array_equal(r.metrics, ref.metrics)
-            assert r.confidence == ref.confidence
-        assert scorer.diagnostics["local_fallbacks"] == 0
-        client.close()
-        channel.close()
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert outcome["stats"].overlay_installs == 1
-        assert outcome["stats"].overlay_evictions == 1
+        assert outcome["stats"].leases_granted == 1
+        assert outcome["stats"].cells_completed == 1
 
     def test_asset_fetch_is_cached_per_process(self, tcp_service, rng):
         arrays = {"w": rng.standard_normal((6, 4)), "b": rng.standard_normal(4)}
@@ -363,6 +278,7 @@ class TestTcpScoringService:
         assert again is fetched
         channel.put(ClientDone(channel.client_id))
         channel.close()
+        _finish_campaign(transport)
         thread.join(timeout=15)
         assert not thread.is_alive()
 
@@ -371,108 +287,99 @@ class TestTcpScoringService:
 # Failure modes: loud protocol errors, never hangs
 # ----------------------------------------------------------------------
 class TestTransportFailureModes:
-    def test_malformed_frame_kills_service_and_client_loudly(
-        self, tcp_service, session_samples
-    ):
-        transport, _service, thread, outcome = tcp_service()
+    def test_malformed_frame_drops_the_client_loudly(self, tcp_service):
+        transport, service, thread, outcome = tcp_service()
         channel = TcpWorkerChannel(transport.address)
         channel._sock.sendall(b"this is not a CRL1 frame at all........")
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert isinstance(outcome["error"], TransportError)
-        assert "protocol error" in str(outcome["error"])
-        # The client is notified (ServiceError broadcast), not hung.
+        _await_lost(service, channel.client_id)
+        # The client is disconnected, not hung.
         with pytest.raises(TransportError):
             channel.get()
         channel.close()
+        # The rest of the fleet is untouched.
+        _finish_campaign(transport)
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert "error" not in outcome
 
-    def test_truncated_frame_is_a_loud_protocol_error(
-        self, tcp_service, session_samples
-    ):
-        transport, _service, thread, outcome = tcp_service()
+    def test_truncated_frame_is_a_loud_protocol_error(self, tcp_service, capsys):
+        transport, service, thread, _outcome = tcp_service()
         channel = TcpWorkerChannel(transport.address)
-        metrics, schedules, adjacencies = _stacks(session_samples[:2])
-        frame = wire.encode_message(AscentRequest(
-            client_id=channel.client_id, request_id=1, model_key="scenario",
-            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
-            gamma=1e-2, max_steps=2,
-        ))
-        channel._sock.sendall(frame[: len(frame) - 40])
+        frame = wire.encode_message(
+            LeaseRequest(client_id=channel.client_id, request_id=1)
+        )
+        channel._sock.sendall(frame[: len(frame) - 4])
         channel.close()  # EOF mid-frame
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert isinstance(outcome["error"], TransportError)
+        _await_lost(service, channel.client_id)
+        assert "mid-frame" in capsys.readouterr().err
 
-    def test_disconnect_mid_ascent_fails_fast(
-        self, tcp_service, session_samples
-    ):
-        transport, _service, thread, outcome = tcp_service()
+    def test_client_id_spoofing_is_rejected(self, tcp_service, capsys):
+        transport, service, thread, _outcome = tcp_service()
         channel = TcpWorkerChannel(transport.address)
-        metrics, schedules, adjacencies = _stacks(session_samples[:3])
-        channel.put(AscentRequest(
-            client_id=channel.client_id, request_id=1, model_key="scenario",
-            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
-            gamma=1e-2, max_steps=5,
-        ))
-        channel.close()  # vanish without ClientDone, reply undeliverable
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert isinstance(outcome["error"], TransportError)
-
-    def test_stale_generation_over_tcp_is_loud_on_both_sides(
-        self, tcp_service, session_samples
-    ):
-        transport, _service, thread, outcome = tcp_service()
-        channel = TcpWorkerChannel(transport.address)
-        metrics, schedules, adjacencies = _stacks(session_samples[:1])
-        channel.put(AscentRequest(
-            client_id=channel.client_id, request_id=1, model_key="scenario",
-            metrics=metrics, schedules=schedules, adjacencies=adjacencies,
-            gamma=1e-2, max_steps=2, generation=3,
-        ))
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        # The service died on the overlay-protocol violation...
-        assert "overlay" in str(outcome["error"])
-        # ...and the blocked client hears about it instead of hanging.
-        with pytest.raises(TransportError, match="overlay"):
-            channel.get()
+        channel.put(LeaseRequest(client_id=channel.client_id + 7, request_id=1))
+        _await_lost(service, channel.client_id)
+        assert "claiming client id" in capsys.readouterr().err
+        # The spoofed frame never reached the lease queue.
+        assert service.coordinator.lease_view() == {}
         channel.close()
 
-    def test_client_id_spoofing_is_rejected(
-        self, tcp_service, session_samples
-    ):
-        transport, _service, thread, outcome = tcp_service()
+    def test_server_only_frame_from_a_client_is_rejected(self, tcp_service, capsys):
+        transport, service, thread, outcome = tcp_service()
         channel = TcpWorkerChannel(transport.address)
-        metrics, schedules, adjacencies = _stacks(session_samples[:1])
-        channel.put(AscentRequest(
-            client_id=channel.client_id + 7, request_id=1,
-            model_key="scenario", metrics=metrics, schedules=schedules,
-            adjacencies=adjacencies, gamma=1e-2, max_steps=2,
-        ))
+        channel.put(LeaseGrant(request_id=1, cell_id=0))
+        _await_lost(service, channel.client_id)
+        assert "which clients may not send" in capsys.readouterr().err
+        channel.close()
+        # The service survived the violation and serves the rest.
+        _finish_campaign(transport)
         thread.join(timeout=15)
         assert not thread.is_alive()
-        assert "claiming client id" in str(outcome["error"])
-        channel.close()
+        assert "error" not in outcome
 
-    def test_unknown_asset_pack_is_loud(self, tcp_service):
-        transport, _service, thread, outcome = tcp_service()
+    def test_unknown_asset_pack_is_loud(self, tcp_service, capsys):
+        transport, service, thread, _outcome = tcp_service()
         channel = TcpWorkerChannel(transport.address)
         with pytest.raises(TransportError):
             channel.fetch_pack("no-such-scenario/weights")
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert "unknown asset pack" in str(outcome["error"])
+        _await_lost(service, channel.client_id)
+        assert "unknown asset pack" in capsys.readouterr().err
         channel.close()
 
     def test_handshake_without_hello_is_loud(self, tcp_service):
         transport, _service, thread, outcome = tcp_service()
+        rejections = telemetry.counter("fleet.handshake_rejections")
+        before = rejections.value
         raw = socket.create_connection((transport.host, transport.port))
+        raw.settimeout(15)
         raw.sendall(struct.pack("!I", 0xDEADBEEF) * 8)
+        # Refused: the service closes the connection instead of
+        # welcoming it, and keeps accepting proper workers.
+        with pytest.raises(wire.WireError):
+            wire.recv_message(raw)
         raw.close()
+        assert rejections.value == before + 1
+        _finish_campaign(transport)
         thread.join(timeout=15)
         assert not thread.is_alive()
-        assert "handshake" in str(outcome["error"])
+        assert "error" not in outcome
+
+    def test_old_protocol_hello_is_refused_loudly(self, tcp_service):
+        transport, _service, thread, outcome = tcp_service()
+        raw = socket.create_connection((transport.host, transport.port))
+        raw.settimeout(15)  # a hang fails the test instead of stalling it
+        wire.send_message(raw, wire.Hello(protocol=2))
+        refusal = wire.recv_message(raw)
+        assert isinstance(refusal, wire.ServiceError)
+        assert "wire protocol 2" in refusal.message
+        assert f"speaks {wire.PROTOCOL_VERSION}" in refusal.message
+        with pytest.raises(wire.ConnectionClosed):
+            wire.recv_message(raw)
+        raw.close()
+        # A current client still joins: the refusal consumed no id.
+        _finish_campaign(transport)
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert "error" not in outcome
 
     def test_connect_to_dead_address_times_out_loudly(self):
         # Grab a port and close it again: nothing listens there.
