@@ -21,7 +21,9 @@ Defaults mirror the paper scenario: 16 hosts / 4 LEIs, a 128-wide
 3-layer GON, ``neighbourhood_sample = 24`` candidates and
 ``surrogate_steps = 8`` ascent iterations per evaluation.  Also checks
 batched-vs-sequential score parity, so a correctness regression fails
-the run (CI invokes ``--quick``).
+the run (CI invokes ``--quick``).  A ``training`` section times one
+campaign-default ``train_gon`` with kernel-generated vs oracle-generated
+fake samples and checks the two train bit-identically.
 
 Run:  PYTHONPATH=src python benchmarks/bench_surrogate.py [--quick]
 """
@@ -283,6 +285,91 @@ def fast_backend_bench(args: argparse.Namespace, model, samples) -> dict:
     }
 
 
+class _OracleKernel:
+    """The kernel surface training uses, through the autodiff oracle.
+
+    Takes ``training._live_kernel``'s arguments, so the class itself
+    stands in for that seam.
+    """
+
+    def __init__(self, model, kernel=None) -> None:
+        self.model = model
+
+    def ascent(self, schedules, adjacencies, rng, gamma, max_steps):
+        from repro.core.surrogate import generate_metrics_batch
+
+        return generate_metrics_batch(
+            self.model, schedules, adjacencies, rng=rng, gamma=gamma, max_steps=max_steps
+        )
+
+    def score_stack(self, metrics, schedules, adjacencies):
+        return self.model.forward_batch(metrics, schedules, adjacencies).data.copy()
+
+
+def training_bench(args: argparse.Namespace) -> dict:
+    """Algorithm 1 on the fused kernel vs the autodiff oracle.
+
+    Times one ``train_gon`` at the campaign defaults (GON 24x2, 6
+    epochs, batch 16, 20 generation steps, on a 40-interval
+    ``paper-default`` DeFog trace) as shipped -- fake samples and
+    test-set metrics generated by the float64 kernel -- and with the
+    ``training._live_kernel`` seam swapped for the autodiff oracle.
+    Parity is part of the contract: both runs must end in equal
+    weights and equal loss/MSE/confidence curves.
+    """
+    from repro.core import TrainingConfig, training
+    from repro.experiments.calibration import collect_defog_trace
+    from repro.scenarios import get_scenario
+
+    config = get_scenario("paper-default").compile(seed=args.seed)
+    trace = collect_defog_trace(config, 40)
+    samples = [GONInput(s.metrics, s.schedule, s.adjacency) for s in trace.samples]
+    train_config = TrainingConfig(
+        epochs=6, batch_size=16, learning_rate=1e-3, generation_steps=20, seed=args.seed
+    )
+
+    def train():
+        model = GONDiscriminator(np.random.default_rng(args.seed), hidden=24, n_layers=2)
+        started = time.perf_counter()
+        history = training.train_gon(model, samples, train_config)
+        return time.perf_counter() - started, model.state_dict(), history
+
+    def oracle():
+        live_kernel = training._live_kernel
+        training._live_kernel = _OracleKernel
+        try:
+            return train()
+        finally:
+            training._live_kernel = live_kernel
+
+    # Warm-up doubles as the parity check.
+    _, kernel_state, kernel_history = train()
+    _, oracle_state, oracle_history = oracle()
+    bit_identical = bool(
+        all(np.array_equal(kernel_state[k], oracle_state[k]) for k in oracle_state)
+        and kernel_history.losses == oracle_history.losses
+        and kernel_history.mses == oracle_history.mses
+        and kernel_history.confidences == oracle_history.confidences
+    )
+    assert bit_identical, "kernel-generated training diverged from the oracle"
+
+    repeats = max(args.repeats, 3)
+    kernel_s = min(train()[0] for _ in range(repeats))
+    oracle_s = min(oracle()[0] for _ in range(repeats))
+    speedup = oracle_s / kernel_s
+    print("\n-- training (Algorithm 1, campaign defaults: GON 24x2, 6 epochs) --")
+    print(f"  oracle ascents  {oracle_s * 1e3:8.1f} ms/train_gon")
+    print(f"  kernel ascents  {kernel_s * 1e3:8.1f} ms/train_gon")
+    print(f"  speedup: {speedup:.2f}x (bit-identical: {bit_identical})")
+    return {
+        "samples": len(samples),
+        "oracle_ms": round(oracle_s * 1e3, 2),
+        "kernel_ms": round(kernel_s * 1e3, 2),
+        "training_speedup": round(speedup, 2),
+        "training_bit_identical": bit_identical,
+    }
+
+
 def _best_of(fn, repeats: int, inner: int) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -383,6 +470,7 @@ def run(args: argparse.Namespace) -> int:
 
     flat_gemm = flat_gemm_bench(args)
     fast_backend = fast_backend_bench(args, model, samples)
+    training = training_bench(args)
 
     payload = {
         "bench": "surrogate",
@@ -403,6 +491,7 @@ def run(args: argparse.Namespace) -> int:
         "parity_max_abs_diff": float(np.abs(bat_scores - seed_scores).max()),
         "flat_gemm": flat_gemm,
         "fast_backend": fast_backend,
+        "training": training,
     }
     os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)
     with open(args.json, "w") as sink:

@@ -61,12 +61,6 @@ OVERHEAD_MARKER = "overhead_ratio"
 MAX_OVERHEAD_RATIO = 1.10
 #: Boolean keys matching any of these substrings are parity contracts.
 PARITY_MARKERS = ("bit_identical", "identical", "parity", "_equal")
-#: ...except keys about merged-bucket execution: the serving layer
-#: explicitly waives the bitwise guarantee there (scores match only to
-#: ~1e-15, see repro/serving/service.py), so benches report the
-#: observed equality as telemetry, not as a contract the gate may
-#: turn into a hard failure.
-PARITY_WAIVED_MARKERS = ("merged",)
 
 
 def _walk(payload, prefix: str = "") -> Iterator[Tuple[str, object]]:
@@ -89,9 +83,7 @@ def extract(payload) -> Dict[str, Dict[str, object]]:
     for path, value in _walk(payload):
         key = path.rsplit(".", 1)[-1].lower()
         if isinstance(value, bool):
-            if any(marker in key for marker in PARITY_MARKERS) and not any(
-                marker in key for marker in PARITY_WAIVED_MARKERS
-            ):
+            if any(marker in key for marker in PARITY_MARKERS):
                 parity[path] = value
         elif isinstance(value, (int, float)):
             if OVERHEAD_MARKER in key:

@@ -23,7 +23,13 @@ Fidelity contract (the tiered parity gates of ``core/scoring.py``):
   differentiable-slice trick, so per-element trajectories match the
   sequential semantics;
 * ``float32`` mode (``fast32``) reuses the same kernels on downcast
-  weights/state for the scoring (never training) path.
+  weights/state for the scoring (never training) path;
+* Algorithm 1 generates its fake samples and test-set metrics with a
+  float64 kernel reloaded after every optimizer step
+  (:mod:`repro.core.training`).  That path is held to exact equality:
+  ``tests/test_training_parity.py`` trains once through the kernel and
+  once through the autodiff oracle and requires equal state dicts and
+  equal loss/MSE/confidence curves.
 """
 
 from __future__ import annotations
@@ -68,12 +74,20 @@ def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
     }
 
 
+def _verified_export(model: GONDiscriminator, dtype: str) -> InferencePack:
+    pack = export_inference(model, meta=gon_inference_meta(model), dtype=dtype)
+    verify_inference_pack(pack, model)
+    return pack
+
+
 class FastGONKernel:
     """Fused forward + closed-form input gradient of one exported GON.
 
-    Instances are immutable snapshots: fine-tuning the live model does
-    not affect a built kernel, so scorers re-export after every
-    generation bump (see :class:`repro.core.scoring.LocalScorer`).
+    A kernel holds a snapshot of the weights: fine-tuning the live
+    model does not affect it until :meth:`reload`.  Scorers re-export
+    after every generation bump (see :class:`repro.core.scoring.
+    LocalScorer`); training reloads after every optimizer step (see
+    :mod:`repro.core.training`).
     """
 
     def __init__(self, pack: InferencePack) -> None:
@@ -89,14 +103,22 @@ class FastGONKernel:
             n_s = int(meta["n_s_features"])
         except KeyError as exc:  # pragma: no cover - defensive
             raise ValueError(f"inference pack meta missing {exc}") from exc
-        self.pack = pack
         self.dtype = np.dtype(pack.dtype)
         self.hidden = hidden
         self.n_layers = n_layers
         self.n_m_features = n_m
         self.n_s_features = n_s
+        self._load(pack)
+        self._ascents = 0  # monotonic call id, part of the forward tag
+        # Preallocated per-(batch, hosts) workspaces: forward
+        # activations, masked-softmax scratch and backward temporaries
+        # live here, so steady-state ascent steps allocate nothing.
+        self._workspaces: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
 
+    def _load(self, pack: InferencePack) -> None:
+        """Check ``pack``'s arrays against the architecture and take them."""
         arrays = pack.arrays
+        hidden, n_layers = self.hidden, self.n_layers
         expected = {"graph_encoder.layers.0.attention",
                     "graph_encoder.layers.0.bias",
                     "graph_encoder.layers.0.weight",
@@ -121,7 +143,7 @@ class FastGONKernel:
                 )
             return np.ascontiguousarray(array, dtype=self.dtype)
 
-        dims = [n_m + n_s] + [hidden] * n_layers
+        dims = [self.n_m_features + self.n_s_features] + [hidden] * n_layers
         self._ms: List[Tuple[np.ndarray, np.ndarray]] = [
             (
                 take(f"ms_encoder.blocks.{i}.weight", (dims[i], dims[i + 1])),
@@ -140,11 +162,7 @@ class FastGONKernel:
         self._head_b0 = take("head.blocks.0.bias", (hidden,))
         self._head_w1 = take("head.blocks.1.weight", (hidden, 1))
         self._head_b1 = take("head.blocks.1.bias", (1,))
-        self._ascents = 0  # monotonic call id, part of the forward tag
-        # Preallocated per-(batch, hosts) workspaces: forward
-        # activations, masked-softmax scratch and backward temporaries
-        # live here, so steady-state ascent steps allocate nothing.
-        self._workspaces: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+        self.pack = pack
 
     # ------------------------------------------------------------------
     @classmethod
@@ -152,9 +170,24 @@ class FastGONKernel:
         cls, model: GONDiscriminator, dtype: str = "float64"
     ) -> "FastGONKernel":
         """Export ``model`` (with verification) and build a kernel."""
-        pack = export_inference(model, meta=gon_inference_meta(model), dtype=dtype)
-        verify_inference_pack(pack, model)
-        return cls(pack)
+        return cls(_verified_export(model, dtype))
+
+    def reload(self, model: GONDiscriminator) -> None:
+        """Load ``model``'s current weights, keeping the workspaces.
+
+        The export is verified exactly as in :meth:`from_model` (a
+        float64 pack must equal the live parameters bit for bit), and
+        ``model`` must have this kernel's architecture.  Training
+        reloads one kernel after every optimizer step instead of
+        rebuilding it per minibatch.
+        """
+        pack = _verified_export(model, self.pack.dtype)
+        if pack.meta != self.pack.meta:
+            raise ValueError(
+                f"cannot reload a {self.pack.meta} kernel from a "
+                f"{pack.meta} model"
+            )
+        self._load(pack)
 
     # ------------------------------------------------------------------
     def _workspace(self, batch: int, n: int) -> Dict[str, np.ndarray]:
@@ -240,7 +273,7 @@ class FastGONKernel:
             np.greater(z, 0.0, out=mask)
             z *= mask  # ReLU, every layer incl. the final one
             x = z
-        e_ms = np.sum(x.reshape(k, n, h), axis=1, out=ws["e_ms"])
+        e_ms = np.add.reduce(x.reshape(k, n, h), axis=1, out=ws["e_ms"])
         e_ms *= self.dtype.type(1.0) / n  # .mean(axis=1) == sum * (1/n)
 
         # --- eq. 4: one-layer GAT over u_i = M[:, :, :4].
@@ -259,11 +292,11 @@ class FastGONKernel:
         # Fused masked softmax (same arithmetic as nn.gat._masked_softmax).
         att += push
         row = ws["row"]
-        np.max(att, axis=-1, keepdims=True, out=row)
+        np.maximum.reduce(att, axis=-1, keepdims=True, out=row)
         att -= row
         np.exp(att, out=att)
         att *= masks
-        np.sum(att, axis=-1, keepdims=True, out=row)
+        np.add.reduce(att, axis=-1, keepdims=True, out=row)
         row += 1e-12
         att /= row
         agg = ws["agg"]
@@ -277,7 +310,7 @@ class FastGONKernel:
         np.exp(agg, out=agg)
         agg += 1.0
         np.reciprocal(agg, out=agg)  # g
-        e_g = np.sum(agg, axis=1, out=ws["e_g"])
+        e_g = np.add.reduce(agg, axis=1, out=ws["e_g"])
         e_g *= self.dtype.type(1.0) / n
 
         # --- eq. 5: sigmoid head over [E_MS, E_G].
@@ -355,7 +388,7 @@ class FastGONKernel:
         np.matmul(dagg, messages.swapaxes(-1, -2), out=datt)
         dmsg3 = ws["dmsg3"]
         np.matmul(att.swapaxes(-1, -2), dagg, out=dmsg3)
-        inner = np.sum(
+        inner = np.add.reduce(
             np.multiply(datt, att, out=ws["dscores"]),
             axis=-1, keepdims=True, out=ws["row"],
         )
@@ -461,21 +494,27 @@ class FastGONKernel:
         masks = adjacency_with_self_loops(adjacencies).astype(self.dtype)
         push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
 
-        first_moment = np.zeros_like(current)
-        second_moment = np.zeros_like(current)
         beta1, beta2 = 0.9, 0.999
         steps_taken = np.zeros(batch, dtype=int)
         converged = np.zeros(batch, dtype=bool)
         confidence = np.zeros(batch, dtype=self.dtype)
 
+        # The ascent state of the still-active elements lives in
+        # compacted arrays (row j is element active[j]), so a step
+        # gathers and scatters nothing; frozen rows are written back
+        # to ``current`` and dropped.  Every update is elementwise, so
+        # compaction leaves each element's arithmetic unchanged.
         active = np.arange(batch)
+        point = current
+        first_moment = np.zeros_like(current)
+        second_moment = np.zeros_like(current)
+        act_sched, act_masks, act_push = sched, masks, push
         self._ascents += 1
         call_id = self._ascents
         tag = (call_id, active.tobytes())
         with _FAST_SPAN.time():
             scores, saved = self._forward(
-                current[active], sched[active], masks[active], push[active],
-                tag=tag,
+                point, act_sched, act_masks, act_push, tag=tag
             )
             rows: Optional[np.ndarray] = None
             for step in range(int(max_steps)):
@@ -484,21 +523,18 @@ class FastGONKernel:
                 gradient = self._input_gradient(saved, rows)
                 if rows is not None:
                     gradient = gradient[rows]
-                first_moment[active] = (
-                    beta1 * first_moment[active] + (1 - beta1) * gradient
+                first_moment = beta1 * first_moment + (1 - beta1) * gradient
+                second_moment = (
+                    beta2 * second_moment + (1 - beta2) * gradient ** 2
                 )
-                second_moment[active] = (
-                    beta2 * second_moment[active] + (1 - beta2) * gradient ** 2
-                )
-                m_hat = first_moment[active] / (1 - beta1 ** (step + 1))
-                v_hat = second_moment[active] / (1 - beta2 ** (step + 1))
+                m_hat = first_moment / (1 - beta1 ** (step + 1))
+                v_hat = second_moment / (1 - beta2 ** (step + 1))
                 update = step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
-                current[active] = np.clip(current[active] + update, 0.0, 3.0)
+                point = np.clip(point + update, 0.0, 3.0)
                 steps_taken[active] = step + 1
 
                 scores, saved = self._forward(
-                    current[active], sched[active], masks[active], push[active],
-                    tag=tag,
+                    point, act_sched, act_masks, act_push, tag=tag
                 )
                 rows = None
                 tol_done = (
@@ -509,12 +545,21 @@ class FastGONKernel:
                     frozen = active[done]
                     converged[frozen] = tol_done[done]
                     confidence[frozen] = scores[done]
-                    active = active[~done]
+                    current[frozen] = point[done]
+                    keep = ~done
+                    active = active[keep]
                     if active.size == 0:
                         break
-                    rows = np.flatnonzero(~done)
+                    rows = np.flatnonzero(keep)
+                    point = point[keep]
+                    first_moment = first_moment[keep]
+                    second_moment = second_moment[keep]
+                    act_sched = sched[active]
+                    act_masks = masks[active]
+                    act_push = push[active]
         if active.size:
             confidence[active] = scores if rows is None else scores[rows]
+            current[active] = point
 
         _FAST_CALLS.inc()
         _FAST_ELEMENTS.add(batch)

@@ -48,10 +48,14 @@ eq.-1 ascent:
     regression flips decisions systematically; the canary catches
     that, the rtol tier pins per-score correctness.
 
-Only the ascent goes through the kernel: ``confidence()`` (the POT
-gate input) and ``fine_tune()`` always run on the exact model path.
-Kernels re-export their weights after every ``generation`` bump, so a
-fine-tuned scorer never serves stale parameters.
+The backend picks the engine of the scoring ascent only.
+``confidence()`` (the POT gate input) always runs on the exact model
+path.  ``fine_tune()`` runs Algorithm 1 (:mod:`repro.core.training`),
+whose fake-sample generation always uses a float64 kernel, whatever
+the backend; its weight gradients and Adam stay on autodiff, and
+``fast32`` never trains.  Scoring kernels re-export their weights
+after every ``generation`` bump, so a fine-tuned scorer never serves
+stale parameters.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Batched calling convention
 --------------------------
 :func:`generate_metrics_batch` / :func:`predict_qos_batch` run the same
 Adam ascent on a whole candidate stack at once: ``B`` topologies (a
-tabu neighbourhood, or a training minibatch's noise samples) are
-stacked into ``[B, n_hosts, F]`` arrays and every ascent step is one
+tabu neighbourhood, or -- as the oracle training is tested against --
+a training minibatch's noise samples) are stacked into ``[B, n_hosts, F]`` arrays and every ascent step is one
 vectorized forward/backward through :meth:`GONDiscriminator.
 forward_batch`.  Convergence is tracked per batch element: an element
 whose update norm falls below ``tol`` freezes (its metrics, step count

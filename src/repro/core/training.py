@@ -16,6 +16,17 @@ Every minibatch runs fully vectorized: fake-sample generation is one
 batched eq.-1 ascent over the whole batch, and the discriminator loss
 is a single graph over the stacked real+fake scores (see
 :mod:`repro.core.surrogate` for the batched conventions).
+
+The ascents need only the input gradient, so they run graph-free on
+the fused float64 kernel of :mod:`repro.core.fastscore` rather than
+the autodiff engine: one kernel per :func:`train_gon` /
+:func:`fine_tune` call, reloaded (and verified equal to the live
+parameters) after every optimizer step.  :func:`evaluate` reads its
+confidences from the same kernel.  The loss graph, its weight backward
+and Adam stay on autodiff.  Kernel generation is bitwise-equal to the
+autodiff oracle (:func:`repro.core.surrogate.generate_metrics_batch`):
+``tests/test_training_parity.py`` trains both ways and requires equal
+weights and curves.
 """
 
 from __future__ import annotations
@@ -27,9 +38,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..nn import Adam, EarlyStopping, Tensor, minibatches, train_test_split
+from .fastscore import FastGONKernel
 from .features import GONInput
 from .gon import GONDiscriminator
-from .surrogate import generate_metrics_batch
 
 __all__ = ["TrainingConfig", "TrainingHistory", "train_gon", "fine_tune", "evaluate"]
 
@@ -46,6 +57,21 @@ def _host_count_groups(samples: Sequence[GONInput]) -> List[List[int]]:
     for i, sample in enumerate(samples):
         groups.setdefault(sample.n_hosts, []).append(i)
     return list(groups.values())
+
+
+def _live_kernel(
+    model: GONDiscriminator, kernel: Optional[FastGONKernel] = None
+) -> FastGONKernel:
+    """The float64 kernel of ``model``'s current weights.
+
+    Reloads into ``kernel`` when given, so its workspaces carry over
+    from one minibatch to the next.  This is the seam the training
+    parity test swaps for the autodiff oracle.
+    """
+    if kernel is None:
+        return FastGONKernel.from_model(model)
+    kernel.reload(model)
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -119,6 +145,7 @@ def _gon_loss_batch(
 def _train_step(
     model: GONDiscriminator,
     optimizer: Adam,
+    kernel: FastGONKernel,
     batch: Sequence[GONInput],
     config: TrainingConfig,
     rng: np.random.Generator,
@@ -126,7 +153,8 @@ def _train_step(
     """One minibatch of Algorithm 1; returns the mean loss.
 
     Both halves of the step are batched: the fake samples ``Z*`` come
-    from one vectorized eq.-1 ascent over the whole minibatch, and the
+    from one vectorized eq.-1 ascent over the whole minibatch on
+    ``kernel`` (which must hold ``model``'s current weights), and the
     discriminator loss is a single graph over the stacked real+fake
     scores (grouped by host count when the batch mixes federations).
     """
@@ -134,11 +162,9 @@ def _train_step(
     # Line 4: generate fake samples Z* from noise by one batched ascent.
     fakes: List[Optional[np.ndarray]] = [None] * len(batch)
     for indices in groups:
-        results = generate_metrics_batch(
-            model,
+        results = kernel.ascent(
             np.stack([batch[i].schedule for i in indices]),
             np.stack([batch[i].adjacency for i in indices]),
-            init_metrics=None,
             rng=rng,
             gamma=config.generation_gamma,
             max_steps=config.generation_steps,
@@ -175,6 +201,15 @@ def evaluate(
     metrics' shape but random values) against the recorded metrics --
     the quantity the paper grid-searches on (§IV-E).
     """
+    return _evaluate(_live_kernel(model), samples, gamma, steps)
+
+
+def _evaluate(
+    kernel: FastGONKernel,
+    samples: Sequence[GONInput],
+    gamma: float,
+    steps: int,
+) -> tuple[float, float]:
     if not samples:
         raise ValueError("no evaluation samples")
     rng = np.random.default_rng(0)
@@ -182,20 +217,20 @@ def evaluate(
     confidences = []
     for indices in _host_count_groups(samples):
         group = [samples[i] for i in indices]
-        results = generate_metrics_batch(
-            model,
-            np.stack([s.schedule for s in group]),
-            np.stack([s.adjacency for s in group]),
-            init_metrics=None,
-            rng=rng,
-            gamma=gamma,
-            max_steps=steps,
+        schedules = np.stack([s.schedule for s in group])
+        adjacencies = np.stack([s.adjacency for s in group])
+        results = kernel.ascent(
+            schedules, adjacencies, rng=rng, gamma=gamma, max_steps=steps
         )
         errors.extend(
             float(np.mean((result.metrics - sample.metrics) ** 2))
             for sample, result in zip(group, results)
         )
-        confidences.extend(model.score_batch(group).tolist())
+        confidences.extend(
+            kernel.score_stack(
+                np.stack([s.metrics for s in group]), schedules, adjacencies
+            ).tolist()
+        )
     return float(np.mean(errors)), float(np.mean(confidences))
 
 
@@ -224,17 +259,20 @@ def train_gon(
     history = TrainingHistory()
     started = time.perf_counter()
 
+    kernel = None
     for epoch in range(1, config.epochs + 1):
         epoch_losses = []
         for index_batch in minibatches(len(train_set), config.batch_size, rng):
             batch = [train_set[i] for i in index_batch]
+            kernel = _live_kernel(model, kernel)
             epoch_losses.append(
-                _train_step(model, optimizer, batch, config, rng)
+                _train_step(model, optimizer, kernel, batch, config, rng)
             )
         loss = float(np.mean(epoch_losses))
-        mse, confidence = evaluate(
-            model, test_set,
-            gamma=config.generation_gamma, steps=config.generation_steps,
+        kernel = _live_kernel(model, kernel)
+        mse, confidence = _evaluate(
+            kernel, test_set,
+            config.generation_gamma, config.generation_steps,
         )
         history.losses.append(loss)
         history.mses.append(mse)
@@ -272,10 +310,12 @@ def fine_tune(
         weight_decay=config.weight_decay,
     )
     loss = 0.0
+    kernel = None
     for _ in range(iterations):
         for index_batch in minibatches(
             len(samples), min(config.batch_size, len(samples)), rng
         ):
             batch = [samples[i] for i in index_batch]
-            loss = _train_step(model, optimizer, batch, config, rng)
+            kernel = _live_kernel(model, kernel)
+            loss = _train_step(model, optimizer, kernel, batch, config, rng)
     return loss

@@ -168,6 +168,25 @@ class TestFastKernelParity:
         )
         _assert_results_bitwise(fast, oracle)
 
+    def test_staggered_freezing_bitwise_equal(self, trained_gon, session_samples):
+        # Adam moves each element by about gamma per step, so a tol
+        # just under gamma freezes elements at different steps while
+        # others run to the cap: the compacted ascent state is used at
+        # several stack sizes.
+        kernel = FastGONKernel.from_model(trained_gon)
+        metrics, schedules, adjacencies = _stacks(session_samples, 12)
+        options = dict(gamma=1e-3, max_steps=30, tol=0.9999e-3)
+        fast = kernel.ascent(
+            schedules, adjacencies, init_metrics=metrics, **options
+        )
+        oracle = generate_metrics_batch(
+            trained_gon, schedules, adjacencies, init_metrics=metrics,
+            **options,
+        )
+        _assert_results_bitwise(fast, oracle)
+        steps = {result.n_steps for result in fast}
+        assert 30 in steps and len(steps - {30}) >= 2, steps
+
     def test_fast32_within_rtol(self, trained_gon, session_samples):
         kernel = FastGONKernel.from_model(trained_gon, dtype="float32")
         metrics, schedules, adjacencies = _stacks(session_samples, 6)
