@@ -202,7 +202,7 @@ class CampaignConfig:
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
     #: lost and its leased cells re-queued.  0 disables the age check
-    #: (reader EOFs and the queue-mode process watchdog still fire).
+    #: (reader EOFs and queue-mode process-exit notices still fire).
     heartbeat_timeout: float = 30.0
     #: Distinct failed attempts a cell gets before it is quarantined
     #: as *poisoned* -- reported, never retried again.  A poison cell

@@ -26,9 +26,9 @@ or how often it is retried after a worker dies -- never changes the
 record.  That independence is what makes work stealing, crash
 re-queue and duplicate suppression safe:
 
-* a worker that dies mid-cell (socket EOF, missed heartbeats, or a
-  dead process noticed by the queue-mode watchdog) has its leases
-  revoked and re-queued for the survivors;
+* a worker that dies mid-cell (socket EOF, missed heartbeats, or --
+  on the queue transport -- its process exiting without signing off)
+  has its leases revoked and re-queued for the survivors;
 * a cell that keeps killing workers exhausts its bounded retry budget
   and is quarantined as *poisoned* -- reported, not retried forever;
 * late workers may join a running TCP campaign (handshake assigns ids
@@ -59,6 +59,7 @@ through text).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import queue as queue_module
 import sys
 import threading
@@ -112,7 +113,8 @@ _COLLECT_TIMEOUT = 120.0
 #: not drained (cells still leased elsewhere might come back).
 _LEASE_POLL_SECONDS = 0.1
 
-#: Seconds of post-mortem queue drain once every worker has exited.
+#: Seconds to wait, once every worker has signed off or exited, for a
+#: worker spawned later to deliver the cells still missing.
 _DRAIN_GRACE_SECONDS = 10.0
 
 #: Records arriving for a cell that already delivered (zombie workers
@@ -136,6 +138,18 @@ class _WorkerDone:
     worker_id: int
     snapshot: Dict[str, dict]
     poisoned: Tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class _WorkerExited:
+    """The parent's notice, on the results queue, that a worker exited.
+
+    Posted once the worker's ``Process.sentinel`` is ready.  A process
+    flushes its queue feeder before it exits, so every frame the
+    worker ever put is already in the pipe ahead of this one.
+    """
+
+    worker_id: int
 
 
 @dataclass(frozen=True)
@@ -427,63 +441,79 @@ def _start_chaos(
     return thread
 
 
-def _start_worker_watchdog(
-    workers: List, request_queue, service: GONScoringService
-) -> threading.Event:
-    """Queue-mode liveness: dead worker processes become ``WorkerLost``.
+def _watch_exit(
+    worker,
+    worker_id: int,
+    results_queue,
+    on_exit: Optional[Callable[[int, object], None]] = None,
+) -> None:
+    """Post :class:`_WorkerExited` the moment ``worker`` exits.
 
-    TCP readers see an EOF when a worker dies; multiprocessing queues
-    report nothing, so the parent polls ``Process.is_alive`` and
-    injects the loss frame itself.  A worker whose ``ClientDone`` is
-    already queued wins the race harmlessly -- the service ignores
-    losses for signed-off clients.
+    A daemon thread waits on the process sentinel (which is ready at
+    exit, without reaping the child), runs ``on_exit`` and then posts
+    the notice behind every frame the worker put.  Exit, not a clock,
+    is what tells the collector no more frames can come.
     """
-    stop = threading.Event()
 
     def watch() -> None:
-        notified: Set[int] = set()
-        while not stop.wait(0.5):
-            for client_id, worker in enumerate(list(workers)):
-                if client_id in notified or worker.is_alive():
-                    continue
-                notified.add(client_id)
-                if client_id in service.signed_off:
-                    continue
-                request_queue.put(
-                    WorkerLost(
-                        client_id,
-                        reason=(
-                            "worker process exited with code "
-                            f"{worker.exitcode}"
-                        ),
-                    )
-                )
+        multiprocessing.connection.wait([worker.sentinel])
+        if on_exit is not None:
+            on_exit(worker_id, worker)
+        results_queue.put(_WorkerExited(worker_id))
 
-    threading.Thread(target=watch, name="fleet-watchdog", daemon=True).start()
-    return stop
+    threading.Thread(
+        target=watch, name=f"fleet-exit-{worker_id}", daemon=True
+    ).start()
+
+
+def _report_lost_worker(
+    service: GONScoringService, request_queue
+) -> Callable[[int, object], None]:
+    """Queue-mode liveness: an exited worker becomes ``WorkerLost``.
+
+    TCP readers see an EOF when a worker dies; multiprocessing queues
+    report nothing, so the parent's exit watcher injects the loss
+    frame itself.  A worker that signed off put its ``ClientDone``
+    before exiting, so the service reads that first and ignores the
+    loss.
+    """
+
+    def on_exit(client_id: int, worker) -> None:
+        if client_id in service.signed_off:
+            return
+        request_queue.put(
+            WorkerLost(
+                client_id,
+                reason=f"worker process exited with code {worker.exitcode}",
+            )
+        )
+
+    return on_exit
 
 
 class _ElasticCollector:
     """Drains worker records on a thread *while* the lease loop runs.
 
-    Historically collection happened after ``serve_transport``
-    returned, which was fine when records only had to reach the
-    parent's memory -- but a store-backed campaign must persist each
-    record the moment it arrives, or a SIGKILL mid-campaign loses
-    everything workers already delivered.  The collector therefore
-    starts before the serve loop and feeds every first-seen record to
-    ``on_record`` (the campaign's store persist hook) as it lands.
+    A store-backed campaign must persist each record the moment it
+    arrives, or a SIGKILL mid-campaign loses everything workers
+    already delivered.  The collector therefore starts before the
+    serve loop and feeds every first-seen record to ``on_record`` (the
+    campaign's store persist hook) as it lands.
 
     A cell is accounted for when its record arrived *or* a drained
     worker reported it poisoned.  Duplicate records (zombie workers
     finishing a revoked lease) are dropped first-wins and counted in
-    ``fleet.duplicate_records``.  Liveness, not a wall-clock budget,
-    decides when to give up: while any worker is alive we keep
-    waiting; once every worker has exited, whatever is coming is
-    already in the queue's pipe buffer, so a short drain grace period
-    bounds the wait before failing loudly.  ``result()`` joins the
-    thread and re-raises whatever the drain loop raised (lost-record
-    errors, a failing ``on_record`` persist).
+    ``fleet.duplicate_records``.  Events, not a clock, decide when to
+    stop.  A worker's :class:`_WorkerDone` is its last frame, and the
+    parent posts :class:`_WorkerExited` once its process exits (see
+    :func:`_watch_exit`), so once every spawned worker has sent one
+    or the other, nothing more can arrive.  The collector stops there
+    when every cell is accounted for, after a non-blocking sweep of
+    whatever is already buffered.  If cells are still missing at that
+    point, it waits ``_DRAIN_GRACE_SECONDS`` for a worker spawned
+    later, then fails loudly.  ``result()`` joins the thread and
+    re-raises whatever the drain loop raised (lost-record errors, a
+    failing ``on_record`` persist).
     """
 
     def __init__(
@@ -497,6 +527,8 @@ class _ElasticCollector:
         self._expected = set(expected)
         self._workers = workers
         self._on_record = on_record
+        #: Worker ids that sent ``_WorkerDone`` or whose exit was posted.
+        self._finished: Set[int] = set()
         self.records: Dict[int, RunRecord] = {}
         self.poisoned: Set[int] = set()
         self.snapshots: List[dict] = []
@@ -507,7 +539,10 @@ class _ElasticCollector:
         self._thread.start()
 
     def _take(self, item) -> None:
-        if isinstance(item, _WorkerDone):
+        if isinstance(item, _WorkerExited):
+            self._finished.add(item.worker_id)
+        elif isinstance(item, _WorkerDone):
+            self._finished.add(item.worker_id)
             self.snapshots.append(item.snapshot)
             self.poisoned.update(item.poisoned)
         elif item.run_index in self.records:
@@ -521,37 +556,36 @@ class _ElasticCollector:
         try:
             grace_deadline: Optional[float] = None
             while True:
+                # Worker ids are list indices (spawn_worker appends in
+                # id order), so late joiners are covered as they come.
+                if set(range(len(self._workers))) - self._finished:
+                    grace_deadline = None
+                    self._take(self._queue.get())
+                    continue
                 outstanding = (
                     self._expected - set(self.records) - self.poisoned
                 )
-                alive = any(w.is_alive() for w in list(self._workers))
-                if not outstanding and not alive:
-                    break
-                try:
-                    self._take(self._queue.get(timeout=0.5))
-                    continue
-                except queue_module.Empty:
-                    pass
-                if alive:
-                    grace_deadline = None
-                    continue
                 if not outstanding:
-                    continue  # workers draining their exit; loop re-checks
+                    break
                 if grace_deadline is None:
                     grace_deadline = time.monotonic() + _DRAIN_GRACE_SECONDS
-                if time.monotonic() >= grace_deadline:
+                remaining = grace_deadline - time.monotonic()
+                if remaining <= 0:
                     raise RuntimeError(
                         "fleet campaign lost records for cells "
                         f"{sorted(outstanding)}: every worker exited but "
                         "the results never arrived -- check worker stderr "
                         "above"
                     )
-            # Final sweep for already-buffered straggler frames (a
-            # zombie's duplicate record, a late _WorkerDone) so
-            # accounting is complete.
+                try:
+                    self._take(self._queue.get(timeout=remaining))
+                except queue_module.Empty:
+                    pass
+            # Pick up frames already buffered behind the last one we
+            # needed (exit notices of workers that signed off).
             while True:
                 try:
-                    self._take(self._queue.get(timeout=0.2))
+                    self._take(self._queue.get(block=False))
                 except queue_module.Empty:
                     break
         except BaseException as error:  # re-raised from result()
@@ -636,7 +670,6 @@ def run_fleet_campaign(
     transport = None
     service: Optional[GONScoringService] = None
     workers: List = []
-    watchdog_stop: Optional[threading.Event] = None
     try:
         if not tcp:
             for scenario, assets in shared_assets.items():
@@ -658,30 +691,6 @@ def run_fleet_campaign(
             transport.start()
             address = transport.address
 
-        results_queue = ctx.Queue()
-        worker_ids = _count()
-
-        def spawn_worker():
-            worker_id = next(worker_ids)
-            if tcp:
-                target, args = _tcp_fleet_worker_main, (
-                    worker_id, tasks, address, results_queue, interval,
-                    auth_token,
-                )
-            else:
-                target, args = _fleet_worker_main, (
-                    worker_id, tasks, handles,
-                    *transport.worker_endpoints(worker_id), results_queue,
-                    interval,
-                )
-            worker = ctx.Process(target=target, args=args, daemon=True)
-            worker.start()
-            workers.append(worker)
-            return worker
-
-        for _ in range(n_workers):
-            spawn_worker()
-
         if coordinator is not None:
             service = GONScoringService(
                 transport.request_queue,
@@ -691,10 +700,38 @@ def run_fleet_campaign(
             )
             if tcp:
                 service.on_worker_lost = transport.close_client
-            else:
-                watchdog_stop = _start_worker_watchdog(
-                    workers, transport.request_queue, service
-                )
+        on_exit = (
+            None if tcp
+            else _report_lost_worker(service, transport.request_queue)
+        )
+
+        results_queue = ctx.Queue()
+        spawn_lock = threading.Lock()
+
+        def spawn_worker():
+            # A worker's id is its index in ``workers`` (the collector
+            # relies on it), so spawns are serialised.
+            with spawn_lock:
+                worker_id = len(workers)
+                if tcp:
+                    target, args = _tcp_fleet_worker_main, (
+                        worker_id, tasks, address, results_queue, interval,
+                        auth_token,
+                    )
+                else:
+                    target, args = _fleet_worker_main, (
+                        worker_id, tasks, handles,
+                        *transport.worker_endpoints(worker_id),
+                        results_queue, interval,
+                    )
+                worker = ctx.Process(target=target, args=args, daemon=True)
+                worker.start()
+                workers.append(worker)
+            _watch_exit(worker, worker_id, results_queue, on_exit)
+            return worker
+
+        for _ in range(n_workers):
+            spawn_worker()
 
         _start_chaos(
             chaos,
@@ -747,8 +784,6 @@ def run_fleet_campaign(
             worker.join(timeout=_COLLECT_TIMEOUT)
         return sorted(records.values(), key=lambda record: record.run_index)
     finally:
-        if watchdog_stop is not None:
-            watchdog_stop.set()
         # On failure paths (stalled fleet, lost records) the survivors
         # are still blocked on their reply queues: tear them down so a
         # long-lived host process never accumulates stuck children.

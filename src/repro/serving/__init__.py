@@ -97,7 +97,7 @@ makes the elasticity below safe:
    thread) so the service can tell "busy in a long numpy cell" from
    "dead".  A client whose last frame is older than
    ``heartbeat_timeout`` -- or whose socket reader hits EOF, or whose
-   process the queue-mode watchdog finds dead -- is declared lost
+   queue-mode process exits without signing off -- is declared lost
    (``fleet.workers_lost``); Pings deliberately do not count as
    ``--max-idle`` transport activity.
 2. **Re-queue with a bounded budget** -- a lost worker's leased cells

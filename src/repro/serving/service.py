@@ -137,7 +137,7 @@ class WorkerLost:
     """Service-internal notice that a client died before signing off.
 
     Enqueued by the transport layer (TCP reader threads on EOF, or the
-    campaign parent's process watchdog for queue transports) -- never
+    campaign parent's process-exit watcher for queue transports) -- never
     sent by workers and never crosses the wire.  The service revokes
     the dead client's leases; the message is idempotent and ignored
     for clients that already signed off.
@@ -183,7 +183,7 @@ class GONScoringService:
     heartbeat_timeout:
         Seconds without any frame from a client before it is declared
         dead and its leases are revoked; 0 disables the timeout
-        (EOF/watchdog notices still apply).
+        (EOF and process-exit notices still apply).
     """
 
     def __init__(

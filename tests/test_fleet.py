@@ -11,6 +11,8 @@ Covers end to end:
   GON ascent scored in the worker and the service only leasing cells.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -599,3 +601,254 @@ class TestTcpFleetCampaign:
         assert serial.rows() == remote.rows()
         # The remote service genuinely leased the campaign.
         assert outcome["stats"].leases_granted >= len(serial.records)
+
+
+# ----------------------------------------------------------------------
+# Collector contract: the campaign ends on events, not on timed polls
+# ----------------------------------------------------------------------
+_FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="patches the worker-side cell runner, which only forked "
+    "workers inherit",
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_fleet_serial_rows(tiny_fleet_grid, tiny_fleet_assets):
+    from dataclasses import replace
+
+    from repro.experiments import run_campaign
+
+    serial = run_campaign(
+        replace(tiny_fleet_grid, mode="process", workers=1),
+        prepared_assets=tiny_fleet_assets,
+    )
+    return {record.run_index: record.row() for record in serial.records}
+
+
+def _on_first_cell(monkeypatch, action):
+    """Run ``action(task)`` in the worker that starts the fleet's first cell.
+
+    Patches the worker-side cell runner; forked workers inherit the
+    patch and the shared claim flag.
+    """
+    from repro.experiments import fleet
+
+    claimed = multiprocessing.Value("i", 0)
+    execute = fleet._execute_run
+
+    def execute_with_action(task, assets):
+        with claimed.get_lock():
+            first = claimed.value == 0
+            claimed.value = 1
+        if first:
+            action(task)
+        return execute(task, assets)
+
+    monkeypatch.setattr(fleet, "_execute_run", execute_with_action)
+
+
+def _count_worker_snapshots(monkeypatch):
+    """Record how many worker snapshots each campaign telemetry merge got."""
+    from repro.experiments import fleet
+
+    counts = []
+    merge = fleet.merge_snapshots
+
+    def recording_merge(parent, *workers):
+        counts.append(len(workers))
+        return merge(parent, *workers)
+
+    monkeypatch.setattr(fleet, "merge_snapshots", recording_merge)
+    return counts
+
+
+def _rows(records):
+    return {record.run_index: record.row() for record in records}
+
+
+class TestFleetCollectorContract:
+    @_FORK_ONLY
+    def test_zombie_duplicate_is_awaited_dropped_and_counted(
+        self, monkeypatch, tiny_fleet_grid, tiny_fleet_assets,
+        tiny_fleet_serial_rows,
+    ):
+        """A worker whose lease was revoked keeps running (a zombie).
+        The collector waits for it even though every cell already has
+        a record, drops its late duplicate first-wins and counts it."""
+        import threading
+
+        from repro.experiments.campaign import plan_tasks
+        from repro.experiments.fleet import run_fleet_campaign
+
+        holding = multiprocessing.Event()
+        release = multiprocessing.Event()
+        zombie_cell = multiprocessing.Value("i", -1)
+
+        def hold(task):
+            zombie_cell.value = task.run_index
+            holding.set()
+            release.wait(timeout=120.0)
+
+        _on_first_cell(monkeypatch, hold)
+        rerun_stored = threading.Event()
+
+        def record_sink(record):
+            if record.run_index == zombie_cell.value:
+                rerun_stored.set()
+
+        state = {}
+
+        def chaos(handle):
+            try:
+                assert holding.wait(timeout=60.0)
+                state["coordinator"] = handle.coordinator
+                assert handle.coordinator.requeue_cell(zombie_cell.value)
+                # The survivor re-runs the cell and delivers first.
+                assert rerun_stored.wait(timeout=60.0)
+            finally:
+                release.set()
+
+        sink = []
+        records = run_fleet_campaign(
+            tiny_fleet_grid, plan_tasks(tiny_fleet_grid), tiny_fleet_assets,
+            telemetry_sink=sink, chaos=chaos, record_sink=record_sink,
+        )
+        assert _rows(records) == tiny_fleet_serial_rows
+        assert state["coordinator"].duplicate_completions == 1
+        assert sink[0]["counters"]["fleet.duplicate_records"] == 1
+
+    @_FORK_ONLY
+    def test_worker_exiting_mid_cell_is_re_leased_bit_identical(
+        self, monkeypatch, tiny_fleet_grid, tiny_fleet_assets,
+        tiny_fleet_serial_rows,
+    ):
+        """A queue worker that ``os._exit``s mid-cell, before its
+        ``_WorkerDone``, is lost on exit; its cell is re-leased and the
+        merged telemetry holds the survivor's snapshot only."""
+        import os
+
+        from repro.experiments import fleet
+        from repro.experiments.campaign import plan_tasks
+        from repro.experiments.fleet import run_fleet_campaign
+
+        # The worker's request queue shares one write lock with every
+        # other writer; dying while its feeder thread holds that lock
+        # would wedge the whole fleet.  Flush the queue, then die.
+        request_queue = {}
+        run_worker = fleet._run_worker
+
+        def run_worker_keeping_request_queue(*args):
+            request_queue["worker"] = args[4]
+            run_worker(*args)
+
+        def exit_mid_cell(task):
+            request_queue["worker"].close()
+            request_queue["worker"].join_thread()
+            os._exit(3)
+
+        monkeypatch.setattr(
+            fleet, "_run_worker", run_worker_keeping_request_queue
+        )
+        _on_first_cell(monkeypatch, exit_mid_cell)
+        snapshot_counts = _count_worker_snapshots(monkeypatch)
+        state = {}
+
+        def chaos(handle):
+            state["service"] = handle.service
+            state["coordinator"] = handle.coordinator
+
+        tasks = plan_tasks(tiny_fleet_grid)
+        sink = []
+        records = run_fleet_campaign(
+            tiny_fleet_grid, tasks, tiny_fleet_assets,
+            telemetry_sink=sink, chaos=chaos,
+        )
+        assert _rows(records) == tiny_fleet_serial_rows
+        service = state["service"]
+        assert len(service.lost) == 1
+        assert service.lost | service.signed_off == {0, 1}
+        assert state["coordinator"].requeued_total == 1
+        assert sink[0]["counters"]["campaign.cells_completed"] == len(tasks)
+        assert snapshot_counts == [len(service.signed_off)] == [1]
+
+    def test_merged_telemetry_has_one_snapshot_per_signed_off_worker(
+        self, monkeypatch, tiny_fleet_grid, tiny_fleet_assets,
+    ):
+        from repro.experiments.campaign import plan_tasks
+        from repro.experiments.fleet import run_fleet_campaign
+
+        snapshot_counts = _count_worker_snapshots(monkeypatch)
+        state = {}
+
+        def chaos(handle):
+            state["service"] = handle.service
+
+        tasks = plan_tasks(tiny_fleet_grid)
+        sink = []
+        run_fleet_campaign(
+            tiny_fleet_grid, tasks, tiny_fleet_assets,
+            telemetry_sink=sink, chaos=chaos,
+        )
+        assert sink[0]["counters"]["campaign.cells_completed"] == len(tasks)
+        assert state["service"].signed_off == {0, 1}
+        assert snapshot_counts == [2]
+
+    @_FORK_ONLY
+    def test_lost_record_raises_once_every_worker_has_exited(
+        self, monkeypatch, tiny_fleet_grid, tiny_fleet_assets,
+    ):
+        """A record that never reaches the parent (its lease settled,
+        every worker gone) still fails the campaign loudly."""
+        from repro.experiments import fleet
+        from repro.experiments.campaign import plan_tasks
+
+        monkeypatch.setattr(fleet, "_DRAIN_GRACE_SECONDS", 0.5)
+        run_worker = fleet._run_worker
+
+        class DropCellZero:
+            def __init__(self, results_queue):
+                self._queue = results_queue
+
+            def put(self, item):
+                if getattr(item, "run_index", None) != 0:
+                    self._queue.put(item)
+
+        def run_worker_losing_cell_zero(*args):
+            args = list(args)
+            args[6] = DropCellZero(args[6])  # the results queue
+            run_worker(*args)
+
+        monkeypatch.setattr(fleet, "_run_worker", run_worker_losing_cell_zero)
+        with pytest.raises(RuntimeError, match=r"lost records for cells \[0\]"):
+            fleet.run_fleet_campaign(
+                tiny_fleet_grid, plan_tasks(tiny_fleet_grid),
+                tiny_fleet_assets,
+            )
+
+
+@pytest.mark.parametrize("transport", ["queue", "tcp"])
+def test_campaign_returns_promptly_after_last_record(
+    transport, tiny_fleet_grid, tiny_fleet_assets
+):
+    """The shutdown bound: once the last record is stored, the fleet
+    campaign returns without waiting out a timed poll."""
+    import statistics
+    import time
+    from dataclasses import replace
+
+    from repro.experiments.campaign import plan_tasks
+    from repro.experiments.fleet import run_fleet_campaign
+
+    grid = replace(tiny_fleet_grid, transport=transport)
+    tasks = plan_tasks(grid)
+    gaps = []
+    for _ in range(3):
+        stored = []
+        records = run_fleet_campaign(
+            grid, tasks, tiny_fleet_assets,
+            record_sink=lambda record: stored.append(time.monotonic()),
+        )
+        gaps.append(time.monotonic() - stored[-1])
+        assert len(records) == len(tasks)
+    assert statistics.median(gaps) < 0.35, gaps
