@@ -33,12 +33,14 @@ Two comparisons, both emitting machine-readable results to
   assets over the wire).  Records are asserted bit-identical across
   transports; the ``tcp_vs_queue_speedup`` ratio tracks the framing
   overhead so a serialization regression cannot land silently.
-* **--fast-backend** -- the scorer-backend head-to-head: the same
-  shared-assets CAROL grid executed with ``scorer_backend`` exact /
-  fast / fast32.  The fast path must produce bit-identical records
-  and identical decision digests; fast32 must agree on every
-  decision (its rtol=1e-5 score tier is gated in the surrogate
-  bench).
+* **--fast-backend** -- the kernel vs autodiff head-to-head: the
+  same shared-assets CAROL grid executed on the autodiff oracle (the
+  ``exact`` arm, with ``LocalScorer.ascent`` swapped in-process for
+  ``generate_metrics_batch``) and on the fused kernel in float64
+  (``fast``) and float32 (``fast32``).  The fast path must produce
+  bit-identical records and identical decision digests; fast32
+  agreement is recorded (its rtol=1e-5 score tier is gated in the
+  surrogate bench).
 
 Run:  PYTHONPATH=src python benchmarks/bench_campaign.py [--fleet] [--tcp] [--fast-backend] [--quick]
 """
@@ -51,10 +53,14 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
+from repro import telemetry
 from repro.core import CAROL, CAROLConfig, TrainingConfig
+from repro.core.scoring import LocalScorer
+from repro.core.surrogate import generate_metrics_batch
 from repro.experiments import (
     CampaignConfig,
     CampaignResult,
@@ -212,14 +218,37 @@ def run_fleet_bench(args: argparse.Namespace) -> dict:
 
 
 # ----------------------------------------------------------------------
-# --fast-backend: scorer-backend head-to-head on the same CAROL grid
+# --fast-backend: kernel vs autodiff head-to-head on the same CAROL grid
 # ----------------------------------------------------------------------
-def run_fast_backend_bench(args: argparse.Namespace) -> dict:
-    """End-to-end campaign timing per scorer backend, parity asserted.
+def _oracle_ascent(scorer, metrics, schedules, adjacencies, gamma, max_steps):
+    """``LocalScorer.ascent`` computed through the autodiff oracle."""
+    return generate_metrics_batch(
+        scorer.model, schedules, adjacencies,
+        init_metrics=metrics, gamma=gamma, max_steps=max_steps,
+    )
 
-    The same shared-assets CAROL grid executed with the exact autodiff
-    oracle, the fused float64 kernels (``fast``) and the float32
-    kernels (``fast32``).  ``fast`` is held to bit-identical records
+
+def _on_oracle(fn):
+    """``fn()`` with every scoring ascent on autodiff.
+
+    Pool workers fork after the swap, so they inherit it.
+    """
+    live = LocalScorer.ascent
+    LocalScorer.ascent = _oracle_ascent
+    try:
+        return fn()
+    finally:
+        LocalScorer.ascent = live
+
+
+def run_fast_backend_bench(args: argparse.Namespace) -> dict:
+    """End-to-end campaign timing, kernel vs autodiff, parity asserted.
+
+    The same shared-assets CAROL grid executed on the autodiff oracle
+    (the ``exact`` arm: ``LocalScorer.ascent`` swapped for
+    ``generate_metrics_batch``, since the shipped ``exact`` backend is
+    the float64 kernel), the fused float64 kernel (``fast``) and the
+    float32 kernel (``fast32``).  ``fast`` is held to bit-identical records
     *and* identical decision digests.  ``fast32`` decision agreement is
     *recorded but not asserted* on this grid: the quick bench trains a
     deliberately tiny GON whose candidate scores tie within float32
@@ -244,10 +273,19 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
     timings = {}
     for backend in ("exact", "fast", "fast32"):
         config = replace(shared, scorer_backend=backend)
-        seconds, result = _timed(run_campaign, config, prepared_assets=assets)
+        timed = partial(_timed, run_campaign, config, prepared_assets=assets)
+        seconds, result = _on_oracle(timed) if backend == "exact" else timed()
         results[backend] = result
         timings[backend] = seconds
-        print(f"campaign, scorer_backend={backend:<7}: {seconds:6.2f} s")
+        label = "exact (autodiff oracle)" if backend == "exact" else backend
+        print(f"campaign, scorer_backend={label:<23}: {seconds:6.2f} s")
+    if telemetry.is_enabled():
+        # Guards against a parity check of the kernel against itself.
+        calls = {
+            backend: result.telemetry["counters"]["gon.ascent.calls"]
+            for backend, result in results.items()
+        }
+        assert calls["exact"] > 0 and calls["fast"] == calls["fast32"] == 0, calls
 
     def digests(result) -> list:
         return [r.diagnostics.get("decision_digest") for r in result.records]
@@ -261,7 +299,7 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
     fast_speedup = timings["exact"] / max(timings["fast"], 1e-9)
     fast32_speedup = timings["exact"] / max(timings["fast32"], 1e-9)
     print(
-        f"speedups vs exact: fast {fast_speedup:.2f}x, "
+        f"speedups vs the autodiff oracle: fast {fast_speedup:.2f}x, "
         f"fast32 {fast32_speedup:.2f}x end-to-end "
         f"(records identical: {identical}; decisions: fast "
         f"{fast_decisions}, fast32 {fast32_decisions})"
@@ -520,8 +558,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--fast-backend",
         action="store_true",
-        help="run the scorer-backend head-to-head (exact vs fast vs fast32 "
-        "campaign timing, record + decision parity asserted)",
+        help="run the kernel vs autodiff head-to-head (autodiff oracle vs "
+        "fast vs fast32 campaign timing, record + decision parity asserted)",
     )
     parser.add_argument(
         "--proactive",

@@ -14,9 +14,11 @@ them from the deterministic surface.
 ``--decisions`` additionally asserts *decision parity*: each CAROL-
 family record's ``diagnostics["decision_digest"]`` (the rolling hash
 over every repair choice and POT gate outcome) must match record-for-
-record.  This is the gate the fast scorer backends are held to -- a
-``--scorer-backend fast`` dump must make bit-identical records *and*
-identical decisions versus the exact-oracle dump.
+record.  CI holds a ``--scorer-backend fast`` dump to bit-identical
+records *and* identical decisions versus the default (``exact``)
+dump; both names run the same float64 kernel, which the tier-1
+catalog sweep and ``bench_campaign.py --fast-backend`` hold to the
+autodiff oracle.
 
 Either side may also be a ``campaign --store sqlite`` database
 (sniffed by the SQLite magic bytes) -- the store's records are read

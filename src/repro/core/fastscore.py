@@ -1,14 +1,17 @@
-"""Graph-free fast inference backend for the GON scorer.
+"""Graph-free GON ascent kernel: the engine of every eq.-1 ascent.
 
-The exact scoring path builds a full :class:`repro.nn.Tensor` autodiff
-graph per Adam step of the eq.-1 ascent just to read ``dD/dM`` -- even
-though every weight is frozen during inference.  This module replays
-the same arithmetic without the graph: a trained
-:class:`~repro.core.gon.GONDiscriminator` is exported once into a flat
-:class:`~repro.nn.serialization.InferencePack` of frozen arrays, and
-the forward **and the closed-form input gradient** of the
-GAT -> encoder -> discriminator stack are hand-written fused numpy
-kernels over the whole ``[B, n, F]`` stack.
+The autodiff engine (:func:`repro.core.surrogate.generate_metrics_batch`)
+builds a full :class:`repro.nn.Tensor` graph per Adam step of the
+eq.-1 ascent just to read ``dD/dM`` -- even though every weight is
+frozen during the ascent.  This module replays the same arithmetic
+without the graph: a :class:`~repro.core.gon.GONDiscriminator` is
+exported into a flat :class:`~repro.nn.serialization.InferencePack` of
+frozen arrays, and the forward **and the closed-form input gradient**
+of the GAT -> encoder -> discriminator stack are hand-written fused
+numpy kernels over the whole ``[B, n, F]`` stack.  Every scorer
+backend ascends here (``exact`` and ``fast`` in float64, ``fast32`` in
+float32), and so does Algorithm 1; the autodiff engine is kept only as
+the oracle that tests and benches compare against.
 
 Fidelity contract (the tiered parity gates of ``core/scoring.py``):
 
@@ -16,8 +19,9 @@ Fidelity contract (the tiered parity gates of ``core/scoring.py``):
   the same flat ``[B*n, F]`` BLAS calls, the same masked-softmax
   arithmetic (non-edges pushed by -1e9, detached row-max shift, 1e-12
   denominator), the same inclusive clip masks and the same Adam update
-  expression -- so float64 (``fast``) scores agree with the oracle to
-  rtol <= 1e-12 (empirically bit-identical on this BLAS);
+  expression -- so float64 (``exact``/``fast``) results are bitwise
+  equal to the oracle's, which the scorer and catalog parity tests
+  require;
 * the backward is evaluated at the *forward* stack size with zeroed
   rows for mid-ascent frozen elements, exactly like the oracle's
   differentiable-slice trick, so per-element trajectories match the
@@ -54,7 +58,7 @@ __all__ = ["FastGONKernel", "gon_inference_meta"]
 _EPS = 1e-8  # clip epsilon of the ascent's log-likelihood (surrogate._EPS)
 
 # Telemetry for the fused kernel, mirroring the gon.ascent.* handles of
-# the exact oracle so fleet dashboards can compare backends directly.
+# the autodiff oracle so the two engines can be compared directly.
 _FAST_SPAN = _telemetry.span("gon.fast.ascent")
 _FAST_CALLS = _telemetry.counter("gon.fast.calls")
 _FAST_ELEMENTS = _telemetry.counter("gon.fast.elements")

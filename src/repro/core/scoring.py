@@ -18,24 +18,19 @@ scheduling intervals precisely as long as the generation stands still
 
 Inference backends and the parity contract
 ------------------------------------------
-``LocalScorer`` selects one of three *inference backends* for the
-eq.-1 ascent:
+Every eq.-1 ascent runs on the graph-free kernel of
+:mod:`repro.core.fastscore`: the forward and the closed-form input
+gradient of the GAT->encoder->discriminator stack, hand-written as
+fused numpy kernels over the whole ``[B, n, F]`` stack.  The backend
+only picks the kernel's dtype:
 
-``"exact"`` (default)
-    The autodiff Tensor-graph engine (`generate_metrics_batch`).  This
-    is the bit-exact oracle: records produced under it are the
-    reference every other backend is gated against, and the default
-    path stays bit-identical across releases.
-``"fast"``
-    The graph-free float64 kernel (:mod:`repro.core.fastscore`): the
-    forward and the closed-form input gradient of the
-    GAT->encoder->discriminator stack hand-written as fused numpy
-    kernels over the whole ``[B, n, F]`` stack, zero ``Tensor``
-    allocation per step.  Gate: scores within ``rtol=1e-12`` of the
-    oracle and *identical repair decisions* on the scenario catalog.
-    (The shipped kernel mirrors the autodiff op order exactly, so in
-    practice it is bitwise-equal -- the CI gate still only assumes
-    the documented tier.)
+``"exact"`` (default) and ``"fast"``
+    Two names for the same float64 kernel.  It mirrors the op order of
+    the autodiff Tensor-graph engine
+    (:func:`repro.core.surrogate.generate_metrics_batch`), which is
+    kept as the *oracle*: the catalog parity tests and the campaign
+    bench route :meth:`LocalScorer.ascent` through it and require
+    bit-identical records and identical decision digests.
 ``"fast32"``
     The same kernel with float32 arithmetic for scoring only (never
     training).  Gate: scores within ``rtol=1e-5`` of the oracle on
@@ -48,14 +43,13 @@ eq.-1 ascent:
     regression flips decisions systematically; the canary catches
     that, the rtol tier pins per-score correctness.
 
-The backend picks the engine of the scoring ascent only.
-``confidence()`` (the POT gate input) always runs on the exact model
-path.  ``fine_tune()`` runs Algorithm 1 (:mod:`repro.core.training`),
-whose fake-sample generation always uses a float64 kernel, whatever
-the backend; its weight gradients and Adam stay on autodiff, and
-``fast32`` never trains.  Scoring kernels re-export their weights
-after every ``generation`` bump, so a fine-tuned scorer never serves
-stale parameters.
+``confidence()`` (the POT gate input) always runs on the model path.
+``fine_tune()`` runs Algorithm 1 (:mod:`repro.core.training`), whose
+fake-sample generation always uses a float64 kernel, whatever the
+backend; its weight gradients and Adam stay on autodiff, and
+``fast32`` never trains.  The scoring kernel is re-exported after
+every ``generation`` bump, so a fine-tuned scorer never serves stale
+parameters.
 """
 
 from __future__ import annotations
@@ -64,9 +58,10 @@ from typing import List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from .fastscore import FastGONKernel
 from .features import GONInput
 from .gon import GONDiscriminator
-from .surrogate import SurrogateResult, generate_metrics_batch
+from .surrogate import SurrogateResult
 from .training import TrainingConfig, fine_tune
 
 __all__ = ["SurrogateScorer", "LocalScorer", "BACKENDS", "validate_backend"]
@@ -120,24 +115,22 @@ class SurrogateScorer(Protocol):
 class LocalScorer:
     """In-process scorer over an owned :class:`GONDiscriminator`.
 
-    ``backend`` picks the ascent engine (``"exact"`` | ``"fast"`` |
-    ``"fast32"``, module docstring has the parity tiers).  The fast
-    kernel is built lazily on first ascent and rebuilt whenever
-    :meth:`fine_tune` bumps :attr:`generation`.
+    ``backend`` picks the kernel's dtype (``"exact"`` and ``"fast"``
+    are float64, ``"fast32"`` is float32; the module docstring has the
+    parity tiers).  The kernel is built lazily on first ascent and
+    rebuilt whenever :meth:`fine_tune` bumps :attr:`generation`.
     """
 
     def __init__(self, model: GONDiscriminator, backend: str = "exact") -> None:
         self.model = model
         self.backend = validate_backend(backend)
         self.generation = 0
-        self._kernel = None
+        self._kernel: Optional[FastGONKernel] = None
         self._kernel_generation = -1
 
-    def _fast_kernel(self):
-        """The cached fast kernel, re-exported after fine-tuning."""
+    def _live_kernel(self) -> FastGONKernel:
+        """The cached kernel, re-exported after fine-tuning."""
         if self._kernel is None or self._kernel_generation != self.generation:
-            from .fastscore import FastGONKernel
-
             dtype = "float32" if self.backend == "fast32" else "float64"
             self._kernel = FastGONKernel.from_model(self.model, dtype=dtype)
             self._kernel_generation = self.generation
@@ -151,16 +144,7 @@ class LocalScorer:
         gamma: float,
         max_steps: int,
     ) -> List[SurrogateResult]:
-        if self.backend != "exact":
-            return self._fast_kernel().ascent(
-                schedules,
-                adjacencies,
-                init_metrics=metrics,
-                gamma=gamma,
-                max_steps=max_steps,
-            )
-        return generate_metrics_batch(
-            self.model,
+        return self._live_kernel().ascent(
             schedules,
             adjacencies,
             init_metrics=metrics,

@@ -11,6 +11,12 @@ while ``D(M*, S, G)`` is the prediction's confidence score.  In
 deployment the ascent warm-starts from the previous interval's metrics
 ``M_{t-1}`` (temporal-correlation trick of §III-B) rather than noise.
 
+This module is the autodiff *oracle* of that ascent: every Adam step
+builds a :class:`repro.nn.Tensor` graph to read ``dD/dM``.  CAROL and
+Algorithm 1 ascend on the graph-free float64 kernel of
+:mod:`repro.core.fastscore` instead, and the parity tests and benches
+hold that kernel bitwise-equal to the functions here.
+
 Batched calling convention
 --------------------------
 :func:`generate_metrics_batch` / :func:`predict_qos_batch` run the same
@@ -49,8 +55,8 @@ __all__ = [
 
 _EPS = 1e-8
 
-# Process-registry handles for the batched eq.-1 ascent (the fleet's
-# hottest kernel); counted per vectorized call, not per element.
+# Process-registry handles for the autodiff ascent (only the oracle
+# runs it); counted per vectorized call, not per element.
 _ASCENT_SPAN = _telemetry.span("gon.ascent")
 _ASCENT_CALLS = _telemetry.counter("gon.ascent.calls")
 _ASCENT_ELEMENTS = _telemetry.counter("gon.ascent.elements")

@@ -9,7 +9,7 @@ The objective interface is *batched*: each iteration hands the whole
 deduplicated, non-tabu neighbourhood to the objective in one call
 (``objective(candidates: list[Topology]) -> list[float]``), so a GON
 surrogate can score all candidates in a single vectorized eq.-1 ascent
-(see :func:`repro.core.surrogate.predict_qos_batch`).  Plain per-
+(see :meth:`repro.core.scoring.LocalScorer.ascent`).  Plain per-
 candidate callables (``Topology -> float``) are detected and adapted
 automatically, preserving the classic interface.
 """

@@ -34,6 +34,7 @@ from ..core import (
     CAROLConfig,
     GONDiscriminator,
     GONInput,
+    LocalScorer,
     ProactiveCAROL,
     TrainingConfig,
     TrainingHistory,
@@ -164,21 +165,14 @@ def build_model(
 ) -> ResilienceModel:
     """Instantiate any §V scheme by name with shared trained assets.
 
-    ``scorer_backend`` selects the GON ascent engine for CAROL-family
-    schemes (``repro.core.scoring.BACKENDS``); ``"exact"`` keeps the
-    default scorer construction so that path stays byte-for-byte the
-    historical one.  Non-GON surrogates ignore it.
+    ``scorer_backend`` selects the GON ascent kernel's dtype for
+    CAROL-family schemes (``repro.core.scoring.BACKENDS``).  Non-GON
+    surrogates ignore it.
     """
     alpha, beta = config.alpha, config.beta
     carol_config = carol_config or CAROLConfig(seed=config.seed)
 
     def gon_scorer(gon):
-        # Only materialise an explicit scorer off the default path:
-        # passing scorer=None keeps CAROL's own LocalScorer(exact).
-        if scorer_backend == "exact":
-            return None
-        from ..core.scoring import LocalScorer
-
         return LocalScorer(gon, backend=scorer_backend)
 
     if name == "CAROL":

@@ -193,11 +193,11 @@ class CampaignConfig:
     #: ``(("pot_calibration", 5),)`` makes short grids open the POT
     #: gate and exercise fine-tuning.
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: GON ascent engine for CAROL-family cells:
-    #: ``"exact"`` (default) is the autodiff oracle -- the bit-exact
-    #: reference path; ``"fast"``/``"fast32"`` score ascents on the
-    #: graph-free :mod:`repro.core.fastscore` kernel (float64 /
-    #: float32), CI-gated to identical repair decisions.
+    #: GON ascent kernel dtype for CAROL-family cells: every backend
+    #: ascends on the graph-free :mod:`repro.core.fastscore` kernel;
+    #: ``"exact"`` (default) and ``"fast"`` name the same float64
+    #: kernel, gated bit-identical to the autodiff oracle, and
+    #: ``"fast32"`` runs it in float32.
     scorer_backend: str = "exact"
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
@@ -347,9 +347,10 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
 
     Model names are canonicalized first, so ``--models carol`` and
     ``--models CAROL`` hash (and therefore resume) identically.
-    ``scorer_backend`` is included even though ``fast`` is CI-gated
-    bit-identical to ``exact``: ``fast32`` is not, and a conservative
-    hash beats silently mixing float32 records into an exact campaign.
+    ``scorer_backend`` is included even though ``exact`` and ``fast``
+    name the same float64 kernel: ``fast32`` is not bit-identical, and
+    a conservative hash beats silently mixing float32 records into an
+    exact campaign.
     """
     return {
         "scenarios": list(config.scenarios),

@@ -5,8 +5,10 @@ the reproduction itself measurable.  It is a dependency-free (stdlib
 only) metrics layer threaded through every hot path:
 
 * the simulator interval loop (``sim.interval`` span, task counters),
-* GON ascent (``gon.ascent`` span, step/convergence counters,
-  batch-size histogram),
+* GON ascent (``gon.fast.ascent`` span, step/convergence counters and
+  batch-size histogram of the fused kernel every ascent runs on; the
+  ``gon.ascent.*`` set counts the autodiff oracle, which only tests
+  and benches call),
 * the surrogate score cache and tabu search (hit/miss/eviction and
   iteration/evaluation counters),
 * the fleet's lease service (lease, requeue, liveness and STATS

@@ -10,10 +10,13 @@ Pins the PR-7 contract end to end:
   and within rtol=1e-5 in float32;
 * ``core/scoring.LocalScorer`` backend selection and post-fine-tune
   kernel re-export;
-* the scenario-catalog parity sweep: for every registered scenario the
-  ``fast`` backend must produce bit-identical campaign records and
-  identical decision digests, and ``fast32`` must agree on decisions
-  (trained surrogates separate candidates well beyond float32 noise);
+* the scenario-catalog parity sweep: for every registered scenario an
+  *oracle arm* reruns the campaign with ``LocalScorer.ascent`` routed
+  through the autodiff :func:`generate_metrics_batch`.  ``exact`` and
+  ``fast`` (the same float64 kernel) must produce bit-identical
+  campaign records and identical decision digests to it, and
+  ``fast32`` must mostly agree on decisions (trained surrogates
+  separate candidates well beyond float32 noise);
 * ``benchmarks/compare_records.py --decisions``.
 """
 
@@ -49,6 +52,14 @@ def _stacks(samples, count=None):
         np.stack([np.asarray(s.metrics, dtype=float) for s in chosen]),
         np.stack([np.asarray(s.schedule, dtype=float) for s in chosen]),
         np.stack([np.asarray(s.adjacency, dtype=float) for s in chosen]),
+    )
+
+
+def _oracle_ascent(scorer, metrics, schedules, adjacencies, gamma, max_steps):
+    """``LocalScorer.ascent`` computed through the autodiff oracle."""
+    return generate_metrics_batch(
+        scorer.model, schedules, adjacencies,
+        init_metrics=metrics, gamma=gamma, max_steps=max_steps,
     )
 
 
@@ -235,13 +246,19 @@ class TestLocalScorerBackends:
             LocalScorer(trained_gon, backend="slow")
 
     def test_fast_backend_matches_exact(self, trained_gon, session_samples):
-        exact = LocalScorer(trained_gon)
-        fast = LocalScorer(trained_gon, backend="fast")
+        # ``exact`` and ``fast`` name one float64 kernel; both must
+        # equal the autodiff oracle bit for bit.
         metrics, schedules, adjacencies = _stacks(session_samples, 5)
-        _assert_results_bitwise(
-            fast.ascent(metrics, schedules, adjacencies, 1e-2, 4),
-            exact.ascent(metrics, schedules, adjacencies, 1e-2, 4),
+        oracle = generate_metrics_batch(
+            trained_gon, schedules, adjacencies, init_metrics=metrics,
+            gamma=1e-2, max_steps=4,
         )
+        for backend in ("exact", "fast"):
+            scorer = LocalScorer(trained_gon, backend=backend)
+            _assert_results_bitwise(
+                scorer.ascent(metrics, schedules, adjacencies, 1e-2, 4),
+                oracle,
+            )
 
     def test_fine_tune_re_exports_the_kernel(self, session_samples):
         # A private model instance: fine-tuning mutates weights.
@@ -250,7 +267,7 @@ class TestLocalScorerBackends:
         scorer = LocalScorer(model, backend="fast")
         metrics, schedules, adjacencies = _stacks(session_samples, 4)
         scorer.ascent(metrics, schedules, adjacencies, 1e-2, 3)
-        stale_kernel = scorer._fast_kernel()
+        stale_kernel = scorer._live_kernel()
         scorer.fine_tune(
             session_samples[:8],
             config=TrainingConfig(epochs=1, batch_size=4, seed=0),
@@ -258,7 +275,7 @@ class TestLocalScorerBackends:
             rng=np.random.default_rng(1),
         )
         assert scorer.generation == 1
-        assert scorer._fast_kernel() is not stale_kernel
+        assert scorer._live_kernel() is not stale_kernel
         _assert_results_bitwise(
             scorer.ascent(metrics, schedules, adjacencies, 1e-2, 3),
             generate_metrics_batch(
@@ -290,40 +307,87 @@ def _catalog_config(name: str) -> CampaignConfig:
 
 @pytest.fixture(scope="module")
 def catalog_sweep():
-    """Per-scenario campaign results for every backend (shared assets)."""
+    """Per-scenario campaign results for every backend (shared assets).
+
+    The ``"oracle"`` arm runs the default config with
+    ``LocalScorer.ascent`` monkeypatched onto the autodiff
+    :func:`generate_metrics_batch`, so the backend gates below compare
+    the kernel with the oracle, never with itself.
+    """
     sweep = {}
     for spec in all_scenarios():
         config = _catalog_config(spec.name)
         assets = prepare_campaign_assets(config)
-        sweep[spec.name] = {
+        results = {
             backend: run_campaign(
                 replace(config, scorer_backend=backend),
                 prepared_assets=assets,
             )
             for backend in BACKENDS
         }
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LocalScorer, "ascent", _oracle_ascent)
+            results["oracle"] = run_campaign(config, prepared_assets=assets)
+        sweep[spec.name] = results
     return sweep
+
+
+@pytest.fixture(scope="module")
+def catalog_ascents():
+    """One warm-start ascent over each scenario's trained surrogate.
+
+    Maps scenario name to ``(oracle results, {backend: results})``.
+    """
+    ascents = {}
+    for spec in all_scenarios():
+        assets = prepare_campaign_assets(_catalog_config(spec.name))[spec.name]
+        gon = assets.fresh_gon()
+        metrics, schedules, adjacencies = _stacks(assets.samples[:6])
+        oracle = generate_metrics_batch(
+            gon, schedules, adjacencies, init_metrics=metrics,
+            gamma=1e-2, max_steps=4,
+        )
+        ascents[spec.name] = oracle, {
+            backend: LocalScorer(gon, backend=backend).ascent(
+                metrics, schedules, adjacencies, 1e-2, 4
+            )
+            for backend in BACKENDS
+        }
+    return ascents
+
+
+def _digests(result):
+    return [r.diagnostics["decision_digest"] for r in result.records]
 
 
 class TestCatalogParity:
     def test_catalog_covers_all_scenarios(self, catalog_sweep):
         assert len(catalog_sweep) >= 9
 
+    def test_oracle_arm_runs_autodiff_and_backends_do_not(
+        self, catalog_sweep
+    ):
+        # Without this the parity gates could compare the kernel with
+        # itself and pass vacuously.
+        for name, results in catalog_sweep.items():
+            calls = {
+                arm: result.telemetry["counters"]["gon.ascent.calls"]
+                for arm, result in results.items()
+            }
+            assert calls.pop("oracle") > 0, name
+            assert set(calls.values()) == {0}, (name, calls)
+
     def test_fast_records_bit_identical_across_catalog(self, catalog_sweep):
         for name, results in catalog_sweep.items():
-            assert results["fast"].rows() == results["exact"].rows(), name
+            oracle = results["oracle"].rows()
+            assert results["exact"].rows() == oracle, name
+            assert results["fast"].rows() == oracle, name
 
     def test_fast_decisions_identical_across_catalog(self, catalog_sweep):
         for name, results in catalog_sweep.items():
-            fast = [
-                r.diagnostics["decision_digest"]
-                for r in results["fast"].records
-            ]
-            exact = [
-                r.diagnostics["decision_digest"]
-                for r in results["exact"].records
-            ]
-            assert fast == exact, name
+            oracle = _digests(results["oracle"])
+            assert _digests(results["exact"]) == oracle, name
+            assert _digests(results["fast"]) == oracle, name
 
     def test_fast32_decisions_agree_across_most_of_catalog(
         self, catalog_sweep
@@ -334,38 +398,25 @@ class TestCatalogParity:
         # *systematically*, so the canary asserts strong-majority
         # agreement rather than universality -- the rtol tier below is
         # the per-score correctness gate.
-        divergent = []
-        for name, results in catalog_sweep.items():
-            fast32 = [
-                r.diagnostics["decision_digest"]
-                for r in results["fast32"].records
-            ]
-            exact = [
-                r.diagnostics["decision_digest"]
-                for r in results["exact"].records
-            ]
-            if fast32 != exact:
-                divergent.append(name)
+        divergent = [
+            name
+            for name, results in catalog_sweep.items()
+            if _digests(results["fast32"]) != _digests(results["oracle"])
+        ]
         assert len(divergent) <= 2, divergent
 
-    def test_fast32_scores_within_rtol_across_catalog(self, catalog_sweep):
-        # Scorer-level tier: confidences of one warm-start ascent over
-        # each scenario's trained surrogate, fast32 vs exact.
-        for name in catalog_sweep:
-            config = _catalog_config(name)
-            assets = prepare_campaign_assets(config)[name]
-            gon = assets.fresh_gon()
-            samples = assets.samples[:6]
-            metrics, schedules, adjacencies = _stacks(samples)
-            exact = LocalScorer(gon).ascent(
-                metrics, schedules, adjacencies, 1e-2, 4
-            )
-            fast32 = LocalScorer(gon, backend="fast32").ascent(
-                metrics, schedules, adjacencies, 1e-2, 4
-            )
+    def test_float64_scores_bitwise_across_catalog(self, catalog_ascents):
+        # Scorer-level tier: a perturbed kernel can leave every catalog
+        # decision intact, so scores are gated bit for bit as well.
+        for oracle, ascents in catalog_ascents.values():
+            for backend in ("exact", "fast"):
+                _assert_results_bitwise(ascents[backend], oracle)
+
+    def test_fast32_scores_within_rtol_across_catalog(self, catalog_ascents):
+        for name, (oracle, ascents) in catalog_ascents.items():
             np.testing.assert_allclose(
-                [r.confidence for r in fast32],
-                [r.confidence for r in exact],
+                [r.confidence for r in ascents["fast32"]],
+                [r.confidence for r in oracle],
                 rtol=1e-5,
                 atol=1e-7,
                 err_msg=name,

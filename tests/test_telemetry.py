@@ -509,6 +509,17 @@ class TestCampaignTelemetry:
         assert payload["telemetry"] == result.telemetry
         json.dumps(payload)  # JSON-safe end to end
 
+    def test_default_backend_ascends_on_the_kernel(self, campaign_assets):
+        from repro.experiments import run_campaign
+
+        config = _campaign_config(n_seeds=1)
+        assert config.scorer_backend == "exact"
+        counters = run_campaign(config, campaign_assets).telemetry["counters"]
+        # Every scoring ascent runs on the fused kernel; the autodiff
+        # engine (gon.ascent.*) is only the tests' oracle.
+        assert counters["gon.ascent.calls"] == 0
+        assert counters["gon.fast.calls"] > 0
+
     def test_pool_campaign_merges_worker_deltas(self, campaign_assets):
         from repro.experiments import run_campaign
 
@@ -523,7 +534,7 @@ class TestCampaignTelemetry:
         # (spans/wall-clock legitimately differ).
         for key in (
             "campaign.cells_completed", "sim.intervals",
-            "carol.cache.misses", "gon.ascent.calls",
+            "carol.cache.misses", "gon.fast.calls",
         ):
             assert pooled.telemetry["counters"][key] == \
                 serial.telemetry["counters"][key], key
