@@ -36,11 +36,9 @@ Two comparisons, both emitting machine-readable results to
 * **--fast-backend** -- the kernel vs autodiff head-to-head: the
   same shared-assets CAROL grid executed on the autodiff oracle (the
   ``exact`` arm, with ``LocalScorer.ascent`` swapped in-process for
-  ``generate_metrics_batch``) and on the fused kernel in float64
-  (``fast``) and float32 (``fast32``).  The fast path must produce
-  bit-identical records and identical decision digests; fast32
-  agreement is recorded (its rtol=1e-5 score tier is gated in the
-  surrogate bench).
+  ``generate_metrics_batch``) and on the fused float64 kernel
+  (``fast``).  The fast path must produce bit-identical records and
+  identical decision digests.
 
 Run:  PYTHONPATH=src python benchmarks/bench_campaign.py [--fleet] [--tcp] [--fast-backend] [--quick]
 """
@@ -247,15 +245,9 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
     The same shared-assets CAROL grid executed on the autodiff oracle
     (the ``exact`` arm: ``LocalScorer.ascent`` swapped for
     ``generate_metrics_batch``, since the shipped ``exact`` backend is
-    the float64 kernel), the fused float64 kernel (``fast``) and the
-    float32 kernel (``fast32``).  ``fast`` is held to bit-identical records
-    *and* identical decision digests.  ``fast32`` decision agreement is
-    *recorded but not asserted* on this grid: the quick bench trains a
-    deliberately tiny GON whose candidate scores tie within float32
-    noise, so tie-breaks legitimately flip -- the enforced fast32 gates
-    (rtol=1e-5 scores, decision agreement on trained surrogates) live
-    in the surrogate bench and the scenario-catalog parity tests.  The
-    end-to-end speedups are modest by construction -- the simulator
+    the float64 kernel) and on the fused float64 kernel (``fast``).
+    ``fast`` is held to bit-identical records *and* identical decision
+    digests.  The end-to-end speedups are modest by construction -- the simulator
     and offline assets dominate a campaign -- so the surrogate bench's
     per-ascent numbers carry the headline; these keys pin the
     integration.
@@ -271,7 +263,7 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
 
     results = {}
     timings = {}
-    for backend in ("exact", "fast", "fast32"):
+    for backend in ("exact", "fast"):
         config = replace(shared, scorer_backend=backend)
         timed = partial(_timed, run_campaign, config, prepared_assets=assets)
         seconds, result = _on_oracle(timed) if backend == "exact" else timed()
@@ -285,24 +277,20 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
             backend: result.telemetry["counters"]["gon.ascent.calls"]
             for backend, result in results.items()
         }
-        assert calls["exact"] > 0 and calls["fast"] == calls["fast32"] == 0, calls
+        assert calls["exact"] > 0 and calls["fast"] == 0, calls
 
     def digests(result) -> list:
         return [r.diagnostics.get("decision_digest") for r in result.records]
 
     identical = results["fast"].rows() == results["exact"].rows()
     fast_decisions = digests(results["fast"]) == digests(results["exact"])
-    fast32_decisions = digests(results["fast32"]) == digests(results["exact"])
     assert identical, "fast-backend records diverged from the exact oracle"
     assert fast_decisions, "fast-backend decisions diverged from the oracle"
 
     fast_speedup = timings["exact"] / max(timings["fast"], 1e-9)
-    fast32_speedup = timings["exact"] / max(timings["fast32"], 1e-9)
     print(
-        f"speedups vs the autodiff oracle: fast {fast_speedup:.2f}x, "
-        f"fast32 {fast32_speedup:.2f}x end-to-end "
-        f"(records identical: {identical}; decisions: fast "
-        f"{fast_decisions}, fast32 {fast32_decisions})"
+        f"speedup vs the autodiff oracle: fast {fast_speedup:.2f}x end-to-end "
+        f"(records identical: {identical}; decisions: {fast_decisions})"
     )
     return {
         "scenario": "paper-default",
@@ -312,14 +300,9 @@ def run_fast_backend_bench(args: argparse.Namespace) -> dict:
         "gon": f"{shared.gon_hidden}x{shared.gon_layers}",
         "exact_s": round(timings["exact"], 3),
         "fast_s": round(timings["fast"], 3),
-        "fast32_s": round(timings["fast32"], 3),
         "fast_campaign_speedup": round(fast_speedup, 2),
-        "fast32_campaign_speedup": round(fast32_speedup, 2),
         "records_identical_fast_vs_exact": identical,
         "decision_parity_fast_vs_exact": fast_decisions,
-        # Informational (no parity marker): float32 tie-breaks on the
-        # quick grid's under-trained GON may flip -- see docstring.
-        "fast32_decision_agreement": fast32_decisions,
     }
 
 
@@ -559,7 +542,7 @@ def main(argv=None) -> int:
         "--fast-backend",
         action="store_true",
         help="run the kernel vs autodiff head-to-head (autodiff oracle vs "
-        "fast vs fast32 campaign timing, record + decision parity asserted)",
+        "fast campaign timing, record + decision parity asserted)",
     )
     parser.add_argument(
         "--proactive",

@@ -785,12 +785,12 @@ def _shared_parents():
 
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--scorer-backend", type=str, default="exact",
-                         choices=["exact", "fast", "fast32"],
-                         help="GON ascent kernel for CAROL-family models: "
-                              "'exact' (default) and 'fast' both run the "
-                              "fused float64 kernel, bit-identical to the "
-                              "autodiff oracle; 'fast32' runs it in "
-                              "float32")
+                         choices=["exact", "fast"],
+                         help="GON ascent backend name for CAROL-family "
+                              "models: 'exact' (default) and 'fast' both "
+                              "run the fused float64 kernel, bit-identical "
+                              "to the autodiff oracle, but hash to "
+                              "different campaigns")
     backend.add_argument("--auth-token", type=str, default=None,
                          help="pre-shared fleet auth token for TCP "
                               "transports (default: the REPRO_FLEET_TOKEN "

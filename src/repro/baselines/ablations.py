@@ -298,7 +298,7 @@ class WithGAN(ResilienceModel):
         confidence = self.surrogate.confidence(sample)
         threshold = self.pot.update(confidence)
         if confidence < threshold and len(self.buffer) >= self.config.min_buffer:
-            for stored in self.buffer[-self.config.min_buffer:]:
+            for stored in list(self.buffer)[-self.config.min_buffer:]:
                 self.surrogate.train_step(stored)
             self.buffer.clear()
 

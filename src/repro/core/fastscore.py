@@ -5,31 +5,27 @@ builds a full :class:`repro.nn.Tensor` graph per Adam step of the
 eq.-1 ascent just to read ``dD/dM`` -- even though every weight is
 frozen during the ascent.  This module replays the same arithmetic
 without the graph: a :class:`~repro.core.gon.GONDiscriminator` is
-exported into a flat :class:`~repro.nn.serialization.InferencePack` of
-frozen arrays, and the forward **and the closed-form input gradient**
-of the GAT -> encoder -> discriminator stack are hand-written fused
-numpy kernels over the whole ``[B, n, F]`` stack.  Every scorer
-backend ascends here (``exact`` and ``fast`` in float64, ``fast32`` in
-float32), and so does Algorithm 1; the autodiff engine is kept only as
-the oracle that tests and benches compare against.
+exported into a flat float64 :class:`~repro.nn.serialization.
+InferencePack` of frozen arrays, and the forward **and the closed-form
+input gradient** of the GAT -> encoder -> discriminator stack are
+hand-written fused numpy kernels over the whole ``[B, n, F]`` stack.
+Every scorer ascends here, and so does Algorithm 1; the autodiff
+engine is kept only as the oracle that tests and benches compare
+against.
 
-Fidelity contract (the tiered parity gates of ``core/scoring.py``):
+Fidelity contract:
 
 * every kernel mirrors the autodiff path's op order and gemm shapes --
   the same flat ``[B*n, F]`` BLAS calls, the same masked-softmax
   arithmetic (non-edges pushed by -1e9, detached row-max shift, 1e-12
   denominator), the same inclusive clip masks and the same Adam update
-  expression -- so float64 (``exact``/``fast``) results are bitwise
-  equal to the oracle's, which the scorer and catalog parity tests
-  require;
-* the backward is evaluated at the *forward* stack size with zeroed
-  rows for mid-ascent frozen elements, exactly like the oracle's
-  differentiable-slice trick, so per-element trajectories match the
-  sequential semantics;
-* ``float32`` mode (``fast32``) reuses the same kernels on downcast
-  weights/state for the scoring (never training) path;
+  expression -- so results are bitwise equal to the oracle's, which
+  the scorer and catalog parity tests require;
+* both engines run a fixed-step ascent: every element of a stack takes
+  exactly ``max_steps`` Adam steps, so the backward always runs at the
+  forward's stack size;
 * Algorithm 1 generates its fake samples and test-set metrics with a
-  float64 kernel reloaded after every optimizer step
+  kernel reloaded after every optimizer step
   (:mod:`repro.core.training`).  That path is held to exact equality:
   ``tests/test_training_parity.py`` trains once through the kernel and
   once through the autodiff oracle and requires equal state dicts and
@@ -63,7 +59,6 @@ _FAST_SPAN = _telemetry.span("gon.fast.ascent")
 _FAST_CALLS = _telemetry.counter("gon.fast.calls")
 _FAST_ELEMENTS = _telemetry.counter("gon.fast.elements")
 _FAST_STEPS = _telemetry.counter("gon.fast.steps")
-_FAST_CONVERGED = _telemetry.counter("gon.fast.converged")
 _FAST_BATCH = _telemetry.histogram("gon.fast.batch_size", _telemetry.SIZE_EDGES)
 
 
@@ -78,8 +73,8 @@ def gon_inference_meta(model: GONDiscriminator) -> Dict[str, object]:
     }
 
 
-def _verified_export(model: GONDiscriminator, dtype: str) -> InferencePack:
-    pack = export_inference(model, meta=gon_inference_meta(model), dtype=dtype)
+def _verified_export(model: GONDiscriminator) -> InferencePack:
+    pack = export_inference(model, meta=gon_inference_meta(model))
     verify_inference_pack(pack, model)
     return pack
 
@@ -107,7 +102,10 @@ class FastGONKernel:
             n_s = int(meta["n_s_features"])
         except KeyError as exc:  # pragma: no cover - defensive
             raise ValueError(f"inference pack meta missing {exc}") from exc
-        self.dtype = np.dtype(pack.dtype)
+        if pack.dtype != "float64":
+            raise ValueError(
+                f"the GON kernel runs float64 packs, got {pack.dtype!r}"
+            )
         self.hidden = hidden
         self.n_layers = n_layers
         self.n_m_features = n_m
@@ -145,7 +143,7 @@ class FastGONKernel:
                     f"inference pack shape mismatch for {name!r}: "
                     f"{tuple(array.shape)} != {shape}"
                 )
-            return np.ascontiguousarray(array, dtype=self.dtype)
+            return np.ascontiguousarray(array)
 
         dims = [self.n_m_features + self.n_s_features] + [hidden] * n_layers
         self._ms: List[Tuple[np.ndarray, np.ndarray]] = [
@@ -170,22 +168,20 @@ class FastGONKernel:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_model(
-        cls, model: GONDiscriminator, dtype: str = "float64"
-    ) -> "FastGONKernel":
+    def from_model(cls, model: GONDiscriminator) -> "FastGONKernel":
         """Export ``model`` (with verification) and build a kernel."""
-        return cls(_verified_export(model, dtype))
+        return cls(_verified_export(model))
 
     def reload(self, model: GONDiscriminator) -> None:
         """Load ``model``'s current weights, keeping the workspaces.
 
-        The export is verified exactly as in :meth:`from_model` (a
-        float64 pack must equal the live parameters bit for bit), and
+        The export is verified exactly as in :meth:`from_model` (the
+        pack must equal the live parameters bit for bit), and
         ``model`` must have this kernel's architecture.  Training
         reloads one kernel after every optimizer step instead of
         rebuilding it per minibatch.
         """
-        pack = _verified_export(model, self.pack.dtype)
+        pack = _verified_export(model)
         if pack.meta != self.pack.meta:
             raise ValueError(
                 f"cannot reload a {self.pack.meta} kernel from a "
@@ -198,45 +194,45 @@ class FastGONKernel:
         key = (batch, n)
         ws = self._workspaces.get(key)
         if ws is None:
-            h, dt = self.hidden, self.dtype
+            h = self.hidden
             flat = batch * n
             f_in = self.n_m_features + self.n_s_features
             dims = [f_in] + [h] * self.n_layers
             ws = {
-                "joint": np.empty((batch, n, f_in), dtype=dt),
-                "joint_tag": None,  # active-set signature of the S half
-                "u": np.empty((flat, N_NODE_FEATURES), dtype=dt),
-                "msg": np.empty((flat, h), dtype=dt),
-                "q": np.empty((flat, h), dtype=dt),
-                "att": np.empty((batch, n, n), dtype=dt),
-                "row": np.empty((batch, n, 1), dtype=dt),
-                "agg": np.empty((batch, n, h), dtype=dt),
-                "e_ms": np.empty((batch, h), dtype=dt),
-                "e_g": np.empty((batch, h), dtype=dt),
-                "h0": np.empty((batch, 2 * h), dtype=dt),
-                "z1": np.empty((batch, h), dtype=dt),
+                "joint": np.empty((batch, n, f_in)),
+                "joint_tag": None,  # ascent call whose S half is written
+                "u": np.empty((flat, N_NODE_FEATURES)),
+                "msg": np.empty((flat, h)),
+                "q": np.empty((flat, h)),
+                "att": np.empty((batch, n, n)),
+                "row": np.empty((batch, n, 1)),
+                "agg": np.empty((batch, n, h)),
+                "e_ms": np.empty((batch, h)),
+                "e_g": np.empty((batch, h)),
+                "h0": np.empty((batch, 2 * h)),
+                "z1": np.empty((batch, h)),
                 "mask1": np.empty((batch, h), dtype=bool),
-                "z2": np.empty((batch, 1), dtype=dt),
+                "z2": np.empty((batch, 1)),
                 # backward scratch
-                "dz1": np.empty((batch, h), dtype=dt),
-                "dh0": np.empty((batch, 2 * h), dtype=dt),
-                "dagg": np.empty((batch, n, h), dtype=dt),
-                "datt": np.empty((batch, n, n), dtype=dt),
-                "dscores": np.empty((batch, n, n), dtype=dt),
-                "dmsg3": np.empty((batch, n, h), dtype=dt),
-                "dtmp3": np.empty((batch, n, h), dtype=dt),
-                "dmsg_flat": np.empty((flat, h), dtype=dt),
-                "dpre": np.empty((flat, h), dtype=dt),
-                "du": np.empty((flat, N_NODE_FEATURES), dtype=dt),
-                "djoint": np.empty((flat, f_in), dtype=dt),
-                "dmetrics": np.empty((batch, n, self.n_m_features), dtype=dt),
+                "dz1": np.empty((batch, h)),
+                "dh0": np.empty((batch, 2 * h)),
+                "dagg": np.empty((batch, n, h)),
+                "datt": np.empty((batch, n, n)),
+                "dscores": np.empty((batch, n, n)),
+                "dmsg3": np.empty((batch, n, h)),
+                "dtmp3": np.empty((batch, n, h)),
+                "dmsg_flat": np.empty((flat, h)),
+                "dpre": np.empty((flat, h)),
+                "du": np.empty((flat, N_NODE_FEATURES)),
+                "djoint": np.empty((flat, f_in)),
+                "dmetrics": np.empty((batch, n, self.n_m_features)),
             }
             for i in range(self.n_layers):
-                ws[f"ms_z{i}"] = np.empty((flat, dims[i + 1]), dtype=dt)
+                ws[f"ms_z{i}"] = np.empty((flat, dims[i + 1]))
                 ws[f"ms_mask{i}"] = np.empty((flat, dims[i + 1]), dtype=bool)
-                ws[f"ms_dz{i}"] = np.empty((flat, dims[i + 1]), dtype=dt)
+                ws[f"ms_dz{i}"] = np.empty((flat, dims[i + 1]))
                 if i:
-                    ws[f"ms_dx{i}"] = np.empty((flat, dims[i]), dtype=dt)
+                    ws[f"ms_dx{i}"] = np.empty((flat, dims[i]))
             self._workspaces[key] = ws
         return ws
 
@@ -254,9 +250,9 @@ class FastGONKernel:
         Returns the ``[k]`` confidence vector plus the saved
         activations the closed-form backward needs.  Mirrors
         ``GONDiscriminator.forward_batch`` op for op.  ``tag``
-        identifies the (schedule, active-set) pair: the ascent loop
-        passes a stable tag so the constant S half of the joint input
-        is only written once per active-set change.
+        identifies the schedule stack: the ascent loop passes its call
+        id so the constant S half of the joint input is written once
+        per ascent.
         """
         k, n, _ = metrics.shape
         h = self.hidden
@@ -278,7 +274,7 @@ class FastGONKernel:
             z *= mask  # ReLU, every layer incl. the final one
             x = z
         e_ms = np.add.reduce(x.reshape(k, n, h), axis=1, out=ws["e_ms"])
-        e_ms *= self.dtype.type(1.0) / n  # .mean(axis=1) == sum * (1/n)
+        e_ms *= 1.0 / n  # .mean(axis=1) == sum * (1/n)
 
         # --- eq. 4: one-layer GAT over u_i = M[:, :, :4].
         u_flat = ws["u"]
@@ -315,7 +311,7 @@ class FastGONKernel:
         agg += 1.0
         np.reciprocal(agg, out=agg)  # g
         e_g = np.add.reduce(agg, axis=1, out=ws["e_g"])
-        e_g *= self.dtype.type(1.0) / n
+        e_g *= 1.0 / n
 
         # --- eq. 5: sigmoid head over [E_MS, E_G].
         h0 = ws["h0"]
@@ -347,29 +343,17 @@ class FastGONKernel:
         return scores, saved
 
     # ------------------------------------------------------------------
-    def _input_gradient(
-        self, saved: Dict[str, np.ndarray], rows: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """``d sum(log clip(D)) / dM`` for the last saved forward.
-
-        ``rows`` selects the still-active elements; like the oracle's
-        differentiable-slice trick the gemms run at the forward stack
-        size with zeroed gradient rows, and the caller slices the
-        result back down to the survivors.
-        """
+    def _input_gradient(self, saved: Dict[str, np.ndarray]) -> np.ndarray:
+        """``d sum(log clip(D)) / dM`` for the last saved forward."""
         n = saved["n"]
         ws = saved["ws"]
         scores = saved["scores"]
         k = scores.shape[0]
         h = self.hidden
-        inv_n = self.dtype.type(1.0) / n
+        inv_n = 1.0 / n
 
         clipped = np.clip(scores, _EPS, 1.0 - _EPS)
         d_scores = ((scores >= _EPS) & (scores <= 1.0 - _EPS)) / clipped
-        if rows is not None:
-            keep = np.zeros(k, dtype=bool)
-            keep[rows] = True
-            d_scores = np.where(keep, d_scores, 0.0)
         dz2 = (d_scores * scores * (1.0 - scores)).reshape(k, 1)
         dr1 = dz2 @ self._head_w1.T
         dz1 = np.multiply(dr1, saved["mask1"], out=ws["dz1"])
@@ -434,17 +418,15 @@ class FastGONKernel:
         schedules: np.ndarray,
         adjacencies: np.ndarray,
     ) -> np.ndarray:
-        """Forward-only confidences of a ``[B, n, F]`` stack (float64)."""
-        metrics = np.asarray(metrics, dtype=self.dtype)
+        """Forward-only confidences of a ``[B, n, F]`` stack."""
+        metrics = np.asarray(metrics, dtype=float)
         if metrics.shape[0] == 0:
             return np.zeros(0)
-        schedules = np.asarray(schedules, dtype=self.dtype)
-        masks = adjacency_with_self_loops(np.asarray(adjacencies)).astype(
-            self.dtype
-        )
-        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
+        schedules = np.asarray(schedules, dtype=float)
+        masks = adjacency_with_self_loops(adjacencies)
+        push = np.where(masks > 0, 0.0, -1e9)
         scores, _ = self._forward(metrics, schedules, masks, push)
-        return scores.astype(np.float64, copy=True)
+        return scores
 
     # ------------------------------------------------------------------
     def ascent(
@@ -455,14 +437,13 @@ class FastGONKernel:
         rng: Optional[np.random.Generator] = None,
         gamma: float = 1e-3,
         max_steps: int = 40,
-        tol: float = 1e-5,
     ) -> List[SurrogateResult]:
         """Graph-free eq.-1 Adam ascent over a candidate stack.
 
-        Semantics match :func:`repro.core.surrogate.
-        generate_metrics_batch` element for element (warm starts,
-        per-element convergence freezing, confidence read from the
-        post-update forward).
+        Every element takes exactly ``max_steps`` steps.  Semantics
+        match :func:`repro.core.surrogate.generate_metrics_batch`
+        element for element (warm starts or noise drawn from ``rng``,
+        confidence read from the post-update forward).
         """
         schedules = np.asarray(schedules, dtype=float)
         adjacencies = np.asarray(adjacencies, dtype=float)
@@ -479,104 +460,51 @@ class FastGONKernel:
             raise ValueError("gamma must be positive")
         if max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        step_size = np.asarray(gamma, dtype=self.dtype)
 
         if init_metrics is None:
             if rng is None:
                 raise ValueError("need rng when init_metrics is omitted")
-            current = rng.uniform(
+            point = rng.uniform(
                 0.0, 1.0, size=(batch, n_hosts, self.n_m_features)
-            ).astype(self.dtype)
+            )
         else:
-            current = np.array(init_metrics, dtype=self.dtype, copy=True)
-            if current.shape[0] != batch:
+            point = np.array(init_metrics, dtype=float, copy=True)
+            if point.shape[0] != batch:
                 raise ValueError(
-                    f"init_metrics batch {current.shape[0]} != {batch}"
+                    f"init_metrics batch {point.shape[0]} != {batch}"
                 )
 
-        sched = schedules.astype(self.dtype)
-        masks = adjacency_with_self_loops(adjacencies).astype(self.dtype)
-        push = np.where(masks > 0, 0.0, -1e9).astype(self.dtype)
-
+        masks = adjacency_with_self_loops(adjacencies)
+        push = np.where(masks > 0, 0.0, -1e9)
         beta1, beta2 = 0.9, 0.999
-        steps_taken = np.zeros(batch, dtype=int)
-        converged = np.zeros(batch, dtype=bool)
-        confidence = np.zeros(batch, dtype=self.dtype)
-
-        # The ascent state of the still-active elements lives in
-        # compacted arrays (row j is element active[j]), so a step
-        # gathers and scatters nothing; frozen rows are written back
-        # to ``current`` and dropped.  Every update is elementwise, so
-        # compaction leaves each element's arithmetic unchanged.
-        active = np.arange(batch)
-        point = current
-        first_moment = np.zeros_like(current)
-        second_moment = np.zeros_like(current)
-        act_sched, act_masks, act_push = sched, masks, push
+        first_moment = np.zeros_like(point)
+        second_moment = np.zeros_like(point)
         self._ascents += 1
-        call_id = self._ascents
-        tag = (call_id, active.tobytes())
+        tag = self._ascents
         with _FAST_SPAN.time():
             scores, saved = self._forward(
-                point, act_sched, act_masks, act_push, tag=tag
+                point, schedules, masks, push, tag=tag
             )
-            rows: Optional[np.ndarray] = None
             for step in range(int(max_steps)):
-                if active.size == 0:
-                    break
-                gradient = self._input_gradient(saved, rows)
-                if rows is not None:
-                    gradient = gradient[rows]
+                gradient = self._input_gradient(saved)
                 first_moment = beta1 * first_moment + (1 - beta1) * gradient
                 second_moment = (
                     beta2 * second_moment + (1 - beta2) * gradient ** 2
                 )
                 m_hat = first_moment / (1 - beta1 ** (step + 1))
                 v_hat = second_moment / (1 - beta2 ** (step + 1))
-                update = step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+                update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
                 point = np.clip(point + update, 0.0, 3.0)
-                steps_taken[active] = step + 1
-
                 scores, saved = self._forward(
-                    point, act_sched, act_masks, act_push, tag=tag
+                    point, schedules, masks, push, tag=tag
                 )
-                rows = None
-                tol_done = (
-                    np.abs(update).reshape(active.size, -1).max(axis=1) < tol
-                )
-                done = tol_done | (steps_taken[active] >= max_steps)
-                if done.any():
-                    frozen = active[done]
-                    converged[frozen] = tol_done[done]
-                    confidence[frozen] = scores[done]
-                    current[frozen] = point[done]
-                    keep = ~done
-                    active = active[keep]
-                    if active.size == 0:
-                        break
-                    rows = np.flatnonzero(keep)
-                    point = point[keep]
-                    first_moment = first_moment[keep]
-                    second_moment = second_moment[keep]
-                    act_sched = sched[active]
-                    act_masks = masks[active]
-                    act_push = push[active]
-        if active.size:
-            confidence[active] = scores if rows is None else scores[rows]
-            current[active] = point
 
         _FAST_CALLS.inc()
         _FAST_ELEMENTS.add(batch)
-        _FAST_STEPS.add(int(steps_taken.sum()))
-        _FAST_CONVERGED.add(int(converged.sum()))
+        _FAST_STEPS.add(batch * int(max_steps))
         _FAST_BATCH.observe(batch)
 
         return [
-            SurrogateResult(
-                metrics=current[i].astype(np.float64, copy=True),
-                confidence=float(confidence[i]),
-                n_steps=int(steps_taken[i]),
-                converged=bool(converged[i]),
-            )
+            SurrogateResult(metrics=point[i].copy(), confidence=float(scores[i]))
             for i in range(batch)
         ]

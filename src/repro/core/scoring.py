@@ -16,40 +16,26 @@ cache keys its validity on this counter: scores stay reusable across
 scheduling intervals precisely as long as the generation stands still
 (the model only changes when the POT gate opens -- §III-B).
 
-Inference backends and the parity contract
-------------------------------------------
-Every eq.-1 ascent runs on the graph-free kernel of
+The ascent engine and its parity contract
+-----------------------------------------
+Every eq.-1 ascent runs on the graph-free float64 kernel of
 :mod:`repro.core.fastscore`: the forward and the closed-form input
 gradient of the GAT->encoder->discriminator stack, hand-written as
-fused numpy kernels over the whole ``[B, n, F]`` stack.  The backend
-only picks the kernel's dtype:
-
-``"exact"`` (default) and ``"fast"``
-    Two names for the same float64 kernel.  It mirrors the op order of
-    the autodiff Tensor-graph engine
-    (:func:`repro.core.surrogate.generate_metrics_batch`), which is
-    kept as the *oracle*: the catalog parity tests and the campaign
-    bench route :meth:`LocalScorer.ascent` through it and require
-    bit-identical records and identical decision digests.
-``"fast32"``
-    The same kernel with float32 arithmetic for scoring only (never
-    training).  Gate: scores within ``rtol=1e-5`` of the oracle on
-    every catalog scenario, plus a strong-majority decision-agreement
-    canary across the catalog.  Decision agreement is *expected but
-    not universal* by construction: wherever a surrogate scores two
-    candidates within float32 noise of each other the tie-break can
-    flip (observed on one of the nine catalog scenarios even at full
-    training scale, and commonly on undertrained GONs).  A kernel
-    regression flips decisions systematically; the canary catches
-    that, the rtol tier pins per-score correctness.
+fused numpy kernels over the whole ``[B, n, F]`` stack.  It mirrors the
+op order of the autodiff Tensor-graph engine
+(:func:`repro.core.surrogate.generate_metrics_batch`), which is kept as
+the *oracle*: the catalog parity tests and the campaign bench route
+:meth:`LocalScorer.ascent` through it and require bit-identical records
+and identical decision digests.  The campaign-level backend names
+``"exact"`` (default) and ``"fast"`` (:data:`BACKENDS`) both select
+this one kernel.
 
 ``confidence()`` (the POT gate input) always runs on the model path.
-``fine_tune()`` runs Algorithm 1 (:mod:`repro.core.training`), whose
-fake-sample generation always uses a float64 kernel, whatever the
-backend; its weight gradients and Adam stay on autodiff, and
-``fast32`` never trains.  The scoring kernel is re-exported after
-every ``generation`` bump, so a fine-tuned scorer never serves stale
-parameters.
+``fine_tune()`` runs Algorithm 1 (:mod:`repro.core.training`), which
+generates its fake samples on a kernel of its own; its weight
+gradients and Adam stay on autodiff.  The scoring kernel is
+re-exported after every ``generation`` bump, so a fine-tuned scorer
+never serves stale parameters.
 """
 
 from __future__ import annotations
@@ -66,9 +52,9 @@ from .training import TrainingConfig, fine_tune
 
 __all__ = ["SurrogateScorer", "LocalScorer", "BACKENDS", "validate_backend"]
 
-#: Inference backends a scorer accepts (see the module docstring for
-#: the per-tier parity contract).
-BACKENDS = ("exact", "fast", "fast32")
+#: Backend names a campaign accepts; both name the float64 kernel (see
+#: the module docstring).
+BACKENDS = ("exact", "fast")
 
 
 def validate_backend(backend: str) -> str:
@@ -115,15 +101,12 @@ class SurrogateScorer(Protocol):
 class LocalScorer:
     """In-process scorer over an owned :class:`GONDiscriminator`.
 
-    ``backend`` picks the kernel's dtype (``"exact"`` and ``"fast"``
-    are float64, ``"fast32"`` is float32; the module docstring has the
-    parity tiers).  The kernel is built lazily on first ascent and
-    rebuilt whenever :meth:`fine_tune` bumps :attr:`generation`.
+    The kernel is built lazily on first ascent and rebuilt whenever
+    :meth:`fine_tune` bumps :attr:`generation`.
     """
 
-    def __init__(self, model: GONDiscriminator, backend: str = "exact") -> None:
+    def __init__(self, model: GONDiscriminator) -> None:
         self.model = model
-        self.backend = validate_backend(backend)
         self.generation = 0
         self._kernel: Optional[FastGONKernel] = None
         self._kernel_generation = -1
@@ -131,8 +114,7 @@ class LocalScorer:
     def _live_kernel(self) -> FastGONKernel:
         """The cached kernel, re-exported after fine-tuning."""
         if self._kernel is None or self._kernel_generation != self.generation:
-            dtype = "float32" if self.backend == "fast32" else "float64"
-            self._kernel = FastGONKernel.from_model(self.model, dtype=dtype)
+            self._kernel = FastGONKernel.from_model(self.model)
             self._kernel_generation = self.generation
         return self._kernel
 

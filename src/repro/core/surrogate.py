@@ -6,8 +6,10 @@ discriminator's log-likelihood,
 
     M <- M + gamma * grad_M log D(M, S, G; theta),
 
-and the converged ``M*`` is the predicted performance for ``(S, G)``
-while ``D(M*, S, G)`` is the prediction's confidence score.  In
+and the ascended ``M*`` is the predicted performance for ``(S, G)``
+while ``D(M*, S, G)`` is the prediction's confidence score.  The ascent
+runs a fixed number of Adam steps (``max_steps``; CAROL's
+``surrogate_steps``, Algorithm 1's ``generation_steps``).  In
 deployment the ascent warm-starts from the previous interval's metrics
 ``M_{t-1}`` (temporal-correlation trick of §III-B) rather than noise.
 
@@ -24,12 +26,9 @@ Adam ascent on a whole candidate stack at once: ``B`` topologies (a
 tabu neighbourhood, or -- as the oracle training is tested against --
 a training minibatch's noise samples) are stacked into ``[B, n_hosts, F]`` arrays and every ascent step is one
 vectorized forward/backward through :meth:`GONDiscriminator.
-forward_batch`.  Convergence is tracked per batch element: an element
-whose update norm falls below ``tol`` freezes (its metrics, step count
-and confidence are finalised) while the remaining elements continue in
-a compacted stack, so each element follows exactly the trajectory the
-sequential :func:`generate_metrics` would have produced.  Results come
-back in input order.
+forward_batch`.  Every update is elementwise, so each element follows
+exactly the trajectory the sequential :func:`generate_metrics` would
+have produced.  Results come back in input order.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ _ASCENT_SPAN = _telemetry.span("gon.ascent")
 _ASCENT_CALLS = _telemetry.counter("gon.ascent.calls")
 _ASCENT_ELEMENTS = _telemetry.counter("gon.ascent.elements")
 _ASCENT_STEPS = _telemetry.counter("gon.ascent.steps")
-_ASCENT_CONVERGED = _telemetry.counter("gon.ascent.converged")
 _ASCENT_BATCH = _telemetry.histogram("gon.ascent.batch_size", _telemetry.SIZE_EDGES)
 
 
@@ -91,10 +89,8 @@ def _frozen_parameters(model: GONDiscriminator):
 class SurrogateResult:
     """Outcome of one eq.-1 optimisation run."""
 
-    metrics: np.ndarray       # converged M*
+    metrics: np.ndarray       # ascended M*
     confidence: float         # D(M*, S, G)
-    n_steps: int              # ascent steps actually taken
-    converged: bool
 
 
 def generate_metrics(
@@ -105,8 +101,6 @@ def generate_metrics(
     rng: Optional[np.random.Generator] = None,
     gamma: float = 1e-3,
     max_steps: int = 40,
-    tol: float = 1e-5,
-    adaptive: bool = True,
 ) -> SurrogateResult:
     """Run the eq.-1 ascent and return ``M*`` with its confidence.
 
@@ -121,18 +115,14 @@ def generate_metrics(
         Algorithm 1's noise samples ``Z``.
     gamma:
         Ascent step size (the learning rate swept in Fig. 6a).
-    max_steps / tol:
-        Convergence controls: stop when the update norm falls below
-        ``tol`` or after ``max_steps`` iterations.
-    adaptive:
-        Use Adam-style adaptive steps in the input space (the practice
-        of the original GON implementation, which runs eq. 1 through an
-        optimizer "till convergence").  ``False`` gives the literal
-        plain-gradient form of eq. 1.
+    max_steps:
+        Number of Adam steps in the input space (the practice of the
+        original GON implementation, which runs eq. 1 through an
+        optimizer).
 
     The final confidence is read from the loop's own last forward pass
-    (the score of the post-update metrics doubles as the convergence
-    check's score), so no extra forward runs after the loop.
+    (the score of the post-update metrics), so no extra forward runs
+    after the loop.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -148,41 +138,27 @@ def generate_metrics(
     first_moment = np.zeros_like(start)
     second_moment = np.zeros_like(start)
     beta1, beta2 = 0.9, 0.999
-    steps_taken = 0
-    converged = False
     with _frozen_parameters(model):
         score = model(current, schedule, adjacency)
         for step in range(max_steps):
             log_likelihood = score.clip(_EPS, 1.0 - _EPS).log()
             log_likelihood.backward()
             gradient = current.grad
-            if gradient is None:
-                break
-            if adaptive:
-                first_moment = beta1 * first_moment + (1 - beta1) * gradient
-                second_moment = beta2 * second_moment + (1 - beta2) * gradient ** 2
-                m_hat = first_moment / (1 - beta1 ** (step + 1))
-                v_hat = second_moment / (1 - beta2 ** (step + 1))
-                update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
-            else:
-                update = gamma * gradient
+            first_moment = beta1 * first_moment + (1 - beta1) * gradient
+            second_moment = beta2 * second_moment + (1 - beta2) * gradient ** 2
+            m_hat = first_moment / (1 - beta1 ** (step + 1))
+            v_hat = second_moment / (1 - beta2 ** (step + 1))
+            update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
             current = Tensor(
                 np.clip(current.data + update, 0.0, 3.0), requires_grad=True
             )
-            steps_taken = step + 1
             # Score the updated metrics: this is both the next
             # iteration's ascent point and, on exit, the returned
             # confidence.
             score = model(current, schedule, adjacency)
-            if float(np.abs(update).max()) < tol:
-                converged = True
-                break
 
     return SurrogateResult(
-        metrics=current.data.copy(),
-        confidence=float(score.data),
-        n_steps=steps_taken,
-        converged=converged,
+        metrics=current.data.copy(), confidence=float(score.data)
     )
 
 
@@ -194,8 +170,6 @@ def generate_metrics_batch(
     rng: Optional[np.random.Generator] = None,
     gamma: float = 1e-3,
     max_steps: int = 40,
-    tol: float = 1e-5,
-    adaptive: bool = True,
 ) -> List[SurrogateResult]:
     """Eq.-1 ascent over a whole candidate stack in vectorized passes.
 
@@ -204,12 +178,7 @@ def generate_metrics_batch(
     ``init_metrics`` is an optional ``[B, n_hosts, F]`` warm-start
     stack.  When ``init_metrics`` is omitted the noise starts are drawn
     from ``rng`` in one call, consuming the generator stream exactly as
-    ``B`` sequential :func:`generate_metrics` calls would.
-
-    Per-element convergence: each element stops ascending the moment
-    its own update norm drops below ``tol`` (its confidence is read
-    from the same vectorized forward that detected convergence) while
-    the still-active elements continue in a compacted stack.  The
+    ``B`` sequential :func:`generate_metrics` calls would.  The
     returned list matches looped :func:`generate_metrics` element-wise.
     """
     if gamma <= 0:
@@ -241,84 +210,31 @@ def generate_metrics_batch(
     first_moment = np.zeros_like(current)
     second_moment = np.zeros_like(current)
     beta1, beta2 = 0.9, 0.999
-    steps_taken = np.zeros(batch, dtype=int)
-    converged = np.zeros(batch, dtype=bool)
-    confidence = np.zeros(batch, dtype=float)
-
-    active = np.arange(batch)
     with _ASCENT_SPAN.time(), _frozen_parameters(model):
-        tensor = Tensor(current[active], requires_grad=True)
-        scores = model.forward_batch(
-            tensor, schedules[active], adjacencies[active]
-        )
-        # When elements freeze mid-iteration, ``scores`` is a
-        # differentiable slice of a larger stack; ``rows`` maps its
-        # rows back into ``tensor`` so the surviving gradients can be
-        # read without re-running the forward pass.
-        rows: Optional[np.ndarray] = None
+        tensor = Tensor(current, requires_grad=True)
+        scores = model.forward_batch(tensor, schedules, adjacencies)
         for step in range(max_steps):
-            if active.size == 0:
-                break
             log_likelihood = scores.clip(_EPS, 1.0 - _EPS).log()
             log_likelihood.sum().backward()
             gradient = tensor.grad
-            if gradient is None:
-                break
-            if rows is not None:
-                gradient = gradient[rows]
-            if adaptive:
-                first_moment[active] = (
-                    beta1 * first_moment[active] + (1 - beta1) * gradient
-                )
-                second_moment[active] = (
-                    beta2 * second_moment[active] + (1 - beta2) * gradient ** 2
-                )
-                m_hat = first_moment[active] / (1 - beta1 ** (step + 1))
-                v_hat = second_moment[active] / (1 - beta2 ** (step + 1))
-                update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
-            else:
-                update = gamma * gradient
-            current[active] = np.clip(current[active] + update, 0.0, 3.0)
-            steps_taken[active] = step + 1
-
-            # One vectorized forward over the whole still-active stack:
-            # the next ascent point, and the confidence of any element
-            # the convergence mask freezes right here.
-            tensor = Tensor(current[active], requires_grad=True)
-            scores = model.forward_batch(
-                tensor, schedules[active], adjacencies[active]
-            )
-            rows = None
-            done = np.abs(update).reshape(active.size, -1).max(axis=1) < tol
-            if done.any():
-                frozen = active[done]
-                converged[frozen] = True
-                confidence[frozen] = scores.data[done]
-                active = active[~done]
-                if active.size == 0:
-                    break
-                # Narrow the existing graph to the survivors instead of
-                # re-running the forward pass: slicing is
-                # differentiable, and each row's value/gradient is
-                # identical to what a compacted forward would produce.
-                rows = np.flatnonzero(~done)
-                scores = scores[rows]
-    if active.size:
-        confidence[active] = scores.data
+            first_moment = beta1 * first_moment + (1 - beta1) * gradient
+            second_moment = beta2 * second_moment + (1 - beta2) * gradient ** 2
+            m_hat = first_moment / (1 - beta1 ** (step + 1))
+            v_hat = second_moment / (1 - beta2 ** (step + 1))
+            update = gamma * m_hat / (np.sqrt(v_hat) + 1e-8)
+            current = np.clip(current + update, 0.0, 3.0)
+            # One vectorized forward over the whole stack: the next
+            # ascent point and, on exit, the returned confidences.
+            tensor = Tensor(current, requires_grad=True)
+            scores = model.forward_batch(tensor, schedules, adjacencies)
 
     _ASCENT_CALLS.inc()
     _ASCENT_ELEMENTS.add(batch)
-    _ASCENT_STEPS.add(int(steps_taken.sum()))
-    _ASCENT_CONVERGED.add(int(converged.sum()))
+    _ASCENT_STEPS.add(batch * max_steps)
     _ASCENT_BATCH.observe(batch)
 
     return [
-        SurrogateResult(
-            metrics=current[i].copy(),
-            confidence=float(confidence[i]),
-            n_steps=int(steps_taken[i]),
-            converged=bool(converged[i]),
-        )
+        SurrogateResult(metrics=current[i].copy(), confidence=float(scores.data[i]))
         for i in range(batch)
     ]
 
@@ -334,7 +250,7 @@ def predict_qos(
 
     Warm-starts from the observed metrics in ``sample`` (the paper's
     ``M_{t-1}`` initialisation) and evaluates the objective on the
-    converged prediction.  Returns ``(objective_value, result)``.
+    ascended prediction.  Returns ``(objective_value, result)``.
     """
     result = generate_metrics(
         model,

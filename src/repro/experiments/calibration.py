@@ -34,7 +34,6 @@ from ..core import (
     CAROLConfig,
     GONDiscriminator,
     GONInput,
-    LocalScorer,
     ProactiveCAROL,
     TrainingConfig,
     TrainingHistory,
@@ -161,37 +160,19 @@ def build_model(
     assets: TrainedAssets,
     config: ExperimentConfig,
     carol_config: Optional[CAROLConfig] = None,
-    scorer_backend: str = "exact",
 ) -> ResilienceModel:
-    """Instantiate any §V scheme by name with shared trained assets.
-
-    ``scorer_backend`` selects the GON ascent kernel's dtype for
-    CAROL-family schemes (``repro.core.scoring.BACKENDS``).  Non-GON
-    surrogates ignore it.
-    """
+    """Instantiate any §V scheme by name with shared trained assets."""
     alpha, beta = config.alpha, config.beta
     carol_config = carol_config or CAROLConfig(seed=config.seed)
-
-    def gon_scorer(gon):
-        return LocalScorer(gon, backend=scorer_backend)
-
-    if name == "CAROL":
-        gon = assets.fresh_gon()
-        return CAROL(gon, alpha, beta, carol_config, scorer=gon_scorer(gon))
-    if name == PROACTIVE_NAME:
-        gon = assets.fresh_gon()
-        return ProactiveCAROL(
-            gon, alpha, beta, carol_config, scorer=gon_scorer(gon)
-        )
-    if name == "CAROL-AlwaysFT":
-        gon = assets.fresh_gon()
-        return AlwaysFineTune(
-            gon, alpha, beta, carol_config, scorer=gon_scorer(gon)
-        )
-    if name == "CAROL-NeverFT":
-        gon = assets.fresh_gon()
-        return NeverFineTune(
-            gon, alpha, beta, carol_config, scorer=gon_scorer(gon)
+    gon_schemes = {
+        "CAROL": CAROL,
+        PROACTIVE_NAME: ProactiveCAROL,
+        "CAROL-AlwaysFT": AlwaysFineTune,
+        "CAROL-NeverFT": NeverFineTune,
+    }
+    if name in gon_schemes:
+        return gon_schemes[name](
+            assets.fresh_gon(), alpha, beta, carol_config
         )
     if name == "CAROL-WithGAN":
         n_hosts = config.federation.n_hosts

@@ -193,11 +193,10 @@ class CampaignConfig:
     #: ``(("pot_calibration", 5),)`` makes short grids open the POT
     #: gate and exercise fine-tuning.
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: GON ascent kernel dtype for CAROL-family cells: every backend
-    #: ascends on the graph-free :mod:`repro.core.fastscore` kernel;
-    #: ``"exact"`` (default) and ``"fast"`` name the same float64
-    #: kernel, gated bit-identical to the autodiff oracle, and
-    #: ``"fast32"`` runs it in float32.
+    #: Backend name for CAROL-family cells: ``"exact"`` (default) and
+    #: ``"fast"`` both name the graph-free float64
+    #: :mod:`repro.core.fastscore` kernel, gated bit-identical to the
+    #: autodiff oracle.  Validated and hashed, but it selects nothing.
     scorer_backend: str = "exact"
     #: Elastic-fleet liveness: a worker whose last frame (heartbeat
     #: ``Ping`` included) is older than this many seconds is declared
@@ -348,9 +347,8 @@ def campaign_grid_identity(config: "CampaignConfig") -> Dict[str, object]:
     Model names are canonicalized first, so ``--models carol`` and
     ``--models CAROL`` hash (and therefore resume) identically.
     ``scorer_backend`` is included even though ``exact`` and ``fast``
-    name the same float64 kernel: ``fast32`` is not bit-identical, and
-    a conservative hash beats silently mixing float32 records into an
-    exact campaign.
+    name the same float64 kernel: dropping it would change every
+    stored campaign's hash.
     """
     return {
         "scenarios": list(config.scenarios),
@@ -411,9 +409,6 @@ class RunTask:
     #: CAROLConfig field overrides for CAROL-family cells (see
     #: :attr:`CampaignConfig.carol_overrides`).
     carol_overrides: Tuple[Tuple[str, object], ...] = ()
-    #: Ascent engine for this cell's scorer (see
-    #: :attr:`CampaignConfig.scorer_backend`).
-    scorer_backend: str = "exact"
 
 
 @dataclass(frozen=True)
@@ -628,7 +623,6 @@ def _execute_run(
         return build_model(
             task.model, cell_assets, config,
             carol_config=cell_carol_config(task, config),
-            scorer_backend=task.scorer_backend,
         )
 
     return run_cell(task, build)
@@ -682,7 +676,6 @@ def plan_tasks(config: CampaignConfig) -> List[RunTask]:
             gon_layers=config.gon_layers,
             gon_epochs=config.gon_epochs,
             carol_overrides=config.carol_overrides,
-            scorer_backend=config.scorer_backend,
         )
         for index, (scenario, model, seed_index) in enumerate(cells)
     ]

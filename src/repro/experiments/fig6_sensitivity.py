@@ -4,8 +4,10 @@ Three sweeps, each reporting the paper's four series (prediction MSE,
 scheduling/decision time, energy, SLO violation rate):
 
 (a) **learning rate** gamma of the eq.-1 ascent, over
-    {1e-5, 1e-4, 1e-3, 1e-2, 1e-1} -- too-small gammas converge slowly
-    (time up), too-large ones fail to converge (MSE/QoS up);
+    {1e-5, 1e-4, 1e-3, 1e-2, 1e-1}.  Every gamma runs the same
+    fixed ``surrogate_steps`` Adam steps, so decision time does not
+    depend on gamma: too-small gammas barely move ``M`` off its warm
+    start, too-large ones overshoot (MSE/QoS up);
 (b) **memory footprint** via the GON layer count -- deeper models
     predict better but generate slower (the paper's 0.25-5 GB axis);
 (c) **tabu list size** over {5, 10, 50, 100, 500}.

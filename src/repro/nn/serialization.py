@@ -19,8 +19,9 @@ A third path backs the graph-free fast inference backend
 
 * :func:`export_inference` -- snapshot a trained module into an
   :class:`InferencePack` of frozen, contiguous arrays plus
-  architecture metadata, optionally downcast to ``float32`` for the
-  scoring (never training) path;
+  architecture metadata, optionally downcast to ``float32`` for a
+  deployment artefact (``repro export-gon --dtype float32``; the
+  kernel runs float64 packs only);
 * :func:`verify_inference_pack` -- the export/verify discipline: the
   pack must name-for-name, shape-for-shape match the module it claims
   to describe, values must round-trip bit-exactly through

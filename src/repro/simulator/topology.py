@@ -9,10 +9,12 @@ broker.  CAROL's whole action space is transformations of this object
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology", "initial_topology"]
 
@@ -190,6 +192,8 @@ class Topology:
 
     def to_networkx(self) -> nx.Graph:
         """Export as an undirected networkx graph with role attributes."""
+        import networkx as nx  # ~0.14 s to import; only this export needs it
+
         graph = nx.Graph()
         for host in range(self.n_hosts):
             if host in self.brokers:

@@ -5,7 +5,7 @@ the reproduction itself measurable.  It is a dependency-free (stdlib
 only) metrics layer threaded through every hot path:
 
 * the simulator interval loop (``sim.interval`` span, task counters),
-* GON ascent (``gon.fast.ascent`` span, step/convergence counters and
+* GON ascent (``gon.fast.ascent`` span, call/element/step counters and
   batch-size histogram of the fused kernel every ascent runs on; the
   ``gon.ascent.*`` set counts the autodiff oracle, which only tests
   and benches call),

@@ -91,7 +91,12 @@ class TestGANAblation:
         )
         surrogate.fit(session_samples[:10], epochs=1)
         model = WithGAN(surrogate, 0.5, 0.5, tiny_carol_config())
-        _drive(model, small_config, n=6)
+        trained = []
+        train_step = surrogate.train_step
+        surrogate.train_step = lambda sample: trained.append(train_step(sample))
+        _drive(model, small_config, n=12)
+        # The POT gate opened on a full buffer and fine-tuned from it.
+        assert trained
         assert model.memory_bytes() > 0
 
 
